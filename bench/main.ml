@@ -1646,7 +1646,9 @@ let baseline_records ~reps () =
   let add experiment metric value hard =
     recs := { B.experiment; metric; value; hard } :: !recs
   in
-  let flow_case tag design_name rate run =
+  (* [counters]: effort counters recorded as hard records; the searches
+     are deterministic, so every rep counts the same. *)
+  let flow_case ?(counters = []) tag design_name rate run =
     if want tag then begin
       let experiment = Printf.sprintf "%s.%s.r%d" tag design_name rate in
       let runs =
@@ -1654,14 +1656,26 @@ let baseline_records ~reps () =
             Mcs_obs.Metrics.reset ();
             let t0 = Unix.gettimeofday () in
             let r = attempt run in
-            (r, Unix.gettimeofday () -. t0))
+            let wall = Unix.gettimeofday () -. t0 in
+            let counts =
+              List.map
+                (fun c -> (c, Mcs_obs.Metrics.(count (counter c))))
+                counters
+            in
+            (r, wall, counts))
       in
-      match fst (List.hd runs) with
-      | Error m -> Format.eprintf "baseline: %s FAILED (%s)@." experiment m
-      | Ok (pins, pipe) ->
+      match List.hd runs with
+      | Error m, _, _ ->
+          Format.eprintf "baseline: %s FAILED (%s)@." experiment m
+      | Ok (pins, pipe), _, counts ->
           add experiment "pins" (float_of_int pins) true;
           add experiment "pipe" (float_of_int pipe) true;
-          add experiment "wall_s" (median (List.map snd runs)) false
+          List.iter
+            (fun (c, n) -> add experiment c (float_of_int n) true)
+            counts;
+          add experiment "wall_s"
+            (median (List.map (fun (_, w, _) -> w) runs))
+            false
     end
   in
   let totals (r : F.result) =
@@ -1670,7 +1684,7 @@ let baseline_records ~reps () =
   flow_case "ch3" "ar-simple" 2 (fun () ->
       Result.map totals
         (run_flow F.Ch3 (Benchmarks.ar_simple ()) ~rate:2 ~mode:C.Unidir));
-  flow_case "ch4" "ar-general" 3 (fun () ->
+  flow_case ~counters:[ "heuristic.nodes" ] "ch4" "ar-general" 3 (fun () ->
       Result.map totals
         (run_flow F.Ch4 (Benchmarks.ar_general ()) ~rate:3 ~mode:C.Unidir));
   flow_case "ch5" "ar-general" 4 (fun () ->
@@ -1678,7 +1692,7 @@ let baseline_records ~reps () =
         (run_flow F.Ch5
            (Benchmarks.ar_general ())
            ~rate:4 ~pipe_length:9 ~mode:C.Bidir));
-  flow_case "ch6" "ar-general" 3 (fun () ->
+  flow_case ~counters:[ "subbus.search_nodes" ] "ch6" "ar-general" 3 (fun () ->
       Result.map totals
         (run_flow F.Ch6 (Benchmarks.ar_general ()) ~rate:3 ~mode:C.Bidir));
   if want "ilp" then begin

@@ -12,11 +12,25 @@ type t = {
   n_partitions : int;
   mutable buses : bus array;
   mutable nb : int;
+  used : int array;
+      (* pins committed per partition: the sum of its port widths, kept
+         current by [set_port], the only writer of port widths *)
 }
 
 let create mode ~n_partitions =
   if n_partitions < 1 then invalid_arg "Connection.create";
-  { mode; n_partitions; buses = [||]; nb = 0 }
+  {
+    mode;
+    n_partitions;
+    buses = [||];
+    nb = 0;
+    used = Array.make (n_partitions + 1) 0;
+  }
+
+(* In Bidir mode [outw] and [inw] alias, so one write changes one port. *)
+let set_port t ports p w =
+  t.used.(p) <- t.used.(p) + w - ports.(p);
+  ports.(p) <- w
 
 let mode t = t.mode
 let n_partitions t = t.n_partitions
@@ -69,22 +83,22 @@ let widen_for t ~bus ~src ~dst ~width =
   check_part t src;
   check_part t dst;
   let b = get t bus in
-  b.outw.(src) <- max b.outw.(src) width;
-  b.inw.(dst) <- max b.inw.(dst) width
+  set_port t b.outw src (max b.outw.(src) width);
+  set_port t b.inw dst (max b.inw.(dst) width)
 
 let widen_port t ~bus ~partition ~dir width =
   check_part t partition;
   let b = get t bus in
   match dir with
-  | `Out -> b.outw.(partition) <- max b.outw.(partition) width
-  | `In -> b.inw.(partition) <- max b.inw.(partition) width
+  | `Out -> set_port t b.outw partition (max b.outw.(partition) width)
+  | `In -> set_port t b.inw partition (max b.inw.(partition) width)
 
 let shrink t ~bus ~src ~dst ~out_w ~in_w =
   let b = get t bus in
   (* In Bidir mode outw and inw alias; restore output side last so a saved
      pair taken with [out_width]/[in_width] round-trips. *)
-  b.inw.(dst) <- in_w;
-  b.outw.(src) <- out_w
+  set_port t b.inw dst in_w;
+  set_port t b.outw src out_w
 
 let capable t cdfg ~bus op =
   let b = get t bus in
@@ -102,14 +116,7 @@ let extra_pins_for t ~bus ~src ~dst ~width =
 
 let pins_used t p =
   check_part t p;
-  let total = ref 0 in
-  for h = 0 to t.nb - 1 do
-    let b = t.buses.(h) in
-    match t.mode with
-    | Unidir -> total := !total + b.outw.(p) + b.inw.(p)
-    | Bidir -> total := !total + b.outw.(p)
-  done;
-  !total
+  t.used.(p)
 
 let partitions_on_bus t ~bus =
   let b = get t bus in
@@ -133,6 +140,7 @@ let bus_width t ~bus =
 let copy t =
   {
     t with
+    used = Array.copy t.used;
     buses =
       Array.init (Array.length t.buses) (fun i ->
           if i >= t.nb then t.buses.(i)

@@ -34,43 +34,45 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
   in
   let n_partitions = Cdfg.n_partitions cdfg in
   let conn = Connection.create mode ~n_partitions in
-  let ops =
-    List.sort
-      (fun a b ->
-        let c = compare (Cdfg.io_width cdfg b) (Cdfg.io_width cdfg a) in
-        if c <> 0 then c else compare a b)
-      (Cdfg.io_ops cdfg)
+  let io = Io_table.make cdfg in
+  let ops = io.Io_table.ops and n_ops = Cdfg.n_ops cdfg in
+  let op_width = io.Io_table.width and op_value = io.Io_table.value in
+  let op_src = io.Io_table.src and op_dst = io.Io_table.dst in
+  let op_wk = io.Io_table.width_index in
+  let n_widths = Array.length io.Io_table.widths in
+  let bus_of = Array.make n_ops (-1) in
+  (* Distinct values tentatively carried by each bus (capacity L): a count
+     per value id, and the number of nonzero counts. *)
+  let on_bus = ref [||] and slots_used = ref [||] in
+  let ensure_bus h =
+    if h >= Array.length !slots_used then begin
+      let cap = max 8 (2 * (h + 1)) in
+      let grow a fill =
+        Array.init cap (fun i -> if i < Array.length a then a.(i) else fill ())
+      in
+      on_bus := grow !on_bus (fun () -> Array.make io.Io_table.n_values 0);
+      slots_used := grow !slots_used (fun () -> 0)
+    end
   in
-  let assigned : (Types.op_id, int) Hashtbl.t = Hashtbl.create 64 in
-  (* Distinct values tentatively carried by each bus (capacity L). *)
-  let values_on : (int * string, int) Hashtbl.t = Hashtbl.create 64 in
-  let slots_used : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let slots h = Option.value ~default:0 (Hashtbl.find_opt slots_used h) in
-  let value_present h v = Hashtbl.mem values_on (h, v) in
+  let slots h = !slots_used.(h) in
+  let value_present h v = !on_bus.(h).(v) > 0 in
   let add_value h v =
-    match Hashtbl.find_opt values_on (h, v) with
-    | Some n -> Hashtbl.replace values_on (h, v) (n + 1)
-    | None ->
-        Hashtbl.add values_on (h, v) 1;
-        Hashtbl.replace slots_used h (slots h + 1)
+    let c = !on_bus.(h) in
+    if c.(v) = 0 then !slots_used.(h) <- !slots_used.(h) + 1;
+    c.(v) <- c.(v) + 1
   in
   let remove_value h v =
-    match Hashtbl.find_opt values_on (h, v) with
-    | Some 1 ->
-        Hashtbl.remove values_on (h, v);
-        Hashtbl.replace slots_used h (slots h - 1)
-    | Some n -> Hashtbl.replace values_on (h, v) (n - 1)
-    | None -> assert false
+    let c = !on_bus.(h) in
+    c.(v) <- c.(v) - 1;
+    if c.(v) = 0 then !slots_used.(h) <- !slots_used.(h) - 1
   in
   (* Pin scarcity weight of §4.1.2. *)
   let unassigned_bits = Array.make (n_partitions + 1) 0 in
   List.iter
     (fun w ->
-      let bits = Cdfg.io_width cdfg w in
-      unassigned_bits.(Cdfg.io_src cdfg w) <-
-        unassigned_bits.(Cdfg.io_src cdfg w) + bits;
-      unassigned_bits.(Cdfg.io_dst cdfg w) <-
-        unassigned_bits.(Cdfg.io_dst cdfg w) + bits)
+      let bits = op_width.(w) in
+      unassigned_bits.(op_src.(w)) <- unassigned_bits.(op_src.(w)) + bits;
+      unassigned_bits.(op_dst.(w)) <- unassigned_bits.(op_dst.(w)) + bits)
     ops;
   let wf p =
     let free = Constraints.pins cons p - Connection.pins_used conn p in
@@ -78,10 +80,10 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
     else float_of_int unassigned_bits.(p) /. float_of_int free
   in
   let fits w h =
-    let src = Cdfg.io_src cdfg w
-    and dst = Cdfg.io_dst cdfg w
-    and width = Cdfg.io_width cdfg w in
-    let d_src, d_dst = Connection.extra_pins_for conn ~bus:h ~src ~dst ~width in
+    let src = op_src.(w) and dst = op_dst.(w) in
+    let d_src, d_dst =
+      Connection.extra_pins_for conn ~bus:h ~src ~dst ~width:op_width.(w)
+    in
     let pin_ok =
       Connection.pins_used conn src + d_src <= Constraints.pins cons src
       && Connection.pins_used conn dst + d_dst <= Constraints.pins cons dst
@@ -89,94 +91,152 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
          budget; src <> dst for I/O operations so the two checks are
          independent. *)
     in
-    let cap_ok = value_present h (Cdfg.io_value cdfg w) || slots h < slot_cap in
+    let cap_ok = value_present h op_value.(w) || slots h < slot_cap in
     pin_ok && cap_ok
   in
-  let gain w h =
-    let src = Cdfg.io_src cdfg w and dst = Cdfg.io_dst cdfg w in
-    let src_connected = Connection.out_width conn ~bus:h ~partition:src > 0 in
-    let dst_connected = Connection.in_width conn ~bus:h ~partition:dst > 0 in
-    let g1 =
-      (if src_connected then wf src else 0.0)
-      +. if dst_connected then wf dst else 0.0
+  (* [wf_src] and [wf_dst]: the scarcity weights of [w]'s endpoints, the
+     same for every bus scored at one node. *)
+  let gain w ~wf_src ~wf_dst h =
+    let src_connected =
+      Connection.out_width conn ~bus:h ~partition:op_src.(w) > 0
     in
-    let g2 = if value_present h (Cdfg.io_value cdfg w) then 1.0 else 0.0 in
+    let dst_connected =
+      Connection.in_width conn ~bus:h ~partition:op_dst.(w) > 0
+    in
+    let g1 =
+      (if src_connected then wf_src else 0.0)
+      +. if dst_connected then wf_dst else 0.0
+    in
+    let g2 = if value_present h op_value.(w) then 1.0 else 0.0 in
     let g3 = float_of_int (slot_cap - slots h) in
     (10000.0 *. g1) +. (100.0 *. g2) +. g3
   in
   (* Sound feasibility prune: assuming maximal reuse of existing ports'
      free slots, the remaining unassigned operations on each side of each
      partition still need at least [side_lower_bound] fresh pins; a branch
-     whose optimistic completion already blows a budget is dead. *)
-  let side_lower_bound unassigned_ops port_widths =
-    (* Each existing port can absorb, per free slot, one op no wider than
-       itself; absorb widest-compatible first (optimistic). *)
-    let widths =
-      List.sort (fun a b -> compare b a) unassigned_ops (* desc *)
+     whose optimistic completion already blows a budget is dead.
+
+     The unassigned operations of a partition are kept as counts over
+     [widths]: [in_left.(p)] for those it receives, [out_left.(p)] for
+     the values it sends, each counted once at the width of its narrowest
+     unassigned operation (the dedup of one entry per value). *)
+  let counts () =
+    Array.init (n_partitions + 1) (fun _ -> Array.make n_widths 0)
+  in
+  let in_left = counts () and out_left = counts () in
+  (* Unassigned operations per (source, value) group and width. *)
+  let groups = Hashtbl.create 64 in
+  let op_group = Array.make n_ops [||] in
+  List.iter
+    (fun w ->
+      let key = (op_src.(w), op_value.(w)) in
+      let g =
+        match Hashtbl.find_opt groups key with
+        | Some g -> g
+        | None ->
+            let g = Array.make n_widths 0 in
+            Hashtbl.add groups key g;
+            g
+      in
+      op_group.(w) <- g)
+    ops;
+  let narrowest g =
+    let rec go k =
+      if k = n_widths then -1 else if g.(k) > 0 then k else go (k + 1)
     in
-    let ports = List.sort (fun (a, _) (b, _) -> compare a b) port_widths in
-    (* ports ascending by width: narrow ports absorb the narrowest ops they
-       can, leaving wide ports for wide ops — optimistic either way; absorb
-       greedily. *)
-    let leftovers =
-      List.fold_left
-        (fun remaining (pw, free) ->
-          let rec absorb k rem =
-            if k = 0 then rem
-            else
-              match rem with
-              | [] -> []
-              | w :: tl when w <= pw -> absorb (k - 1) tl
-              | w :: tl -> w :: absorb k tl
-          in
-          absorb free remaining)
-        widths ports
+    go 0
+  in
+  (* [d] = -1 assigns [w], +1 unassigns it. *)
+  let count_left w d =
+    let k = op_wk.(w) and g = op_group.(w) in
+    let ins = in_left.(op_dst.(w)) and outs = out_left.(op_src.(w)) in
+    ins.(k) <- ins.(k) + d;
+    let before = narrowest g in
+    g.(k) <- g.(k) + d;
+    let after = narrowest g in
+    if before <> after then begin
+      if before >= 0 then outs.(before) <- outs.(before) - 1;
+      if after >= 0 then outs.(after) <- outs.(after) + 1
+    end
+  in
+  List.iter (fun w -> count_left w 1) ops;
+  (* [bound_ok.(p)]: the bound held when partition p was last evaluated.
+     It reads p's unassigned counts, pins and ports and the slot use of the
+     buses with a port on p; every change to one of those clears it, so a
+     node evaluates only the partitions its move touched. *)
+  let bound_ok = Array.make (n_partitions + 1) false in
+  let touch_move w h =
+    bound_ok.(op_src.(w)) <- false;
+    bound_ok.(op_dst.(w)) <- false;
+    for p = 0 to n_partitions do
+      if
+        Connection.out_width conn ~bus:h ~partition:p > 0
+        || Connection.in_width conn ~bus:h ~partition:p > 0
+      then bound_ok.(p) <- false
+    done
+  in
+  let left = Io_table.bag io and both = Array.make n_widths 0 in
+  (* Ports are as wide as some operation: index them among [widths]. *)
+  let widths = io.Io_table.widths in
+  let index_of_width = Array.make (1 + Array.fold_left max 0 widths) (-1) in
+  Array.iteri (fun k w -> index_of_width.(w) <- k) widths;
+  let pooled = Array.make n_widths 0 in
+  (* Fresh pins [left] still needs, given the ports [side_width] gives
+     partition p: each port absorbs, per free slot, one op no wider than
+     itself, narrow ports first (optimistic either way; ports of equal
+     width absorb alike, so their free slots pool); the leftovers take
+     chunks of [slot_cap] values per new port, each port as wide as its
+     widest member.  Stops early once past [room]. *)
+  let side_lower_bound ~room side_width =
+    Array.fill pooled 0 n_widths 0;
+    for h = 0 to Connection.n_buses conn - 1 do
+      let pw = side_width h and free = slot_cap - slots h in
+      if pw > 0 && free > 0 then
+        pooled.(index_of_width.(pw)) <- pooled.(index_of_width.(pw)) + free
+    done;
+    Array.iteri
+      (fun k free ->
+        if free > 0 && Io_table.size left > 0 then
+          ignore (Io_table.take left free widths.(k)))
+      pooled;
+    let rec chunked cost =
+      if cost > room || Io_table.size left = 0 then cost
+      else
+        let w = Io_table.widest left in
+        ignore (Io_table.take left slot_cap w);
+        chunked (cost + w)
     in
-    (* Fresh pins for the leftovers: chunks of [slot_cap] values per new
-       port, each port as wide as its widest member. *)
-    let rec chunked = function
-      | [] -> 0
-      | widest :: _ as rem ->
-          let rest = List.filteri (fun i _ -> i >= slot_cap) rem in
-          widest + chunked rest
-    in
-    chunked leftovers
+    chunked 0
+  in
+  let viable_at p =
+    let room = Constraints.pins cons p - Connection.pins_used conn p in
+    let out_side h = Connection.out_width conn ~bus:h ~partition:p in
+    match mode with
+    | Connection.Unidir ->
+        Io_table.load left in_left.(p);
+        let lb_in =
+          side_lower_bound ~room (fun h ->
+              Connection.in_width conn ~bus:h ~partition:p)
+        in
+        lb_in <= room
+        &&
+        (Io_table.load left out_left.(p);
+         lb_in + side_lower_bound ~room:(room - lb_in) out_side <= room)
+    | Connection.Bidir ->
+        for k = 0 to n_widths - 1 do
+          both.(k) <- in_left.(p).(k) + out_left.(p).(k)
+        done;
+        Io_table.load left both;
+        side_lower_bound ~room out_side <= room
   in
   let viable () =
-    let ok p =
-      let in_ops = ref [] and out_vals = ref [] in
-      List.iter
-        (fun w ->
-          if not (Hashtbl.mem assigned w) then begin
-            if Cdfg.io_dst cdfg w = p then
-              in_ops := Cdfg.io_width cdfg w :: !in_ops;
-            if Cdfg.io_src cdfg w = p then
-              out_vals := (Cdfg.io_value cdfg w, Cdfg.io_width cdfg w) :: !out_vals
-          end)
-        ops;
-      let out_ops = List.map snd (Mcs_util.Listx.uniq (fun a b -> String.equal (fst a) (fst b)) !out_vals) in
-      let ports side_width =
-        List.filter_map
-          (fun h ->
-            let pw = side_width h in
-            if pw > 0 then Some (pw, max 0 (slot_cap - slots h)) else None)
-          (Mcs_util.Listx.range 0 (Connection.n_buses conn))
-      in
-      let lb =
-        match mode with
-        | Connection.Unidir ->
-            side_lower_bound !in_ops
-              (ports (fun h -> Connection.in_width conn ~bus:h ~partition:p))
-            + side_lower_bound out_ops
-                (ports (fun h -> Connection.out_width conn ~bus:h ~partition:p))
-        | Connection.Bidir ->
-            side_lower_bound
-              (!in_ops @ out_ops)
-              (ports (fun h -> Connection.out_width conn ~bus:h ~partition:p))
-      in
-      Connection.pins_used conn p + lb <= Constraints.pins cons p
+    let rec go p =
+      p > n_partitions
+      ||
+      (if not bound_ok.(p) then bound_ok.(p) <- viable_at p;
+       bound_ok.(p) && go (p + 1))
     in
-    List.for_all ok (Mcs_util.Listx.range 0 (n_partitions + 1))
+    go 0
   in
   M.incr m_searches;
   let nodes = ref 0 in
@@ -187,32 +247,35 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
         M.incr m_nodes;
         Budget.spend_node budget;
         if !nodes > max_nodes then raise Budget_exhausted;
-        let src = Cdfg.io_src cdfg w
-        and dst = Cdfg.io_dst cdfg w
-        and width = Cdfg.io_width cdfg w in
-        let existing =
-          List.filter (fits w) (Mcs_util.Listx.range 0 (Connection.n_buses conn))
-        in
+        let src = op_src.(w) and dst = op_dst.(w) and width = op_width.(w) in
+        (* Rank the buses that fit by gain, each scored once; the stable
+           sort keeps equal gains in bus order. *)
+        let wf_src = wf src and wf_dst = wf dst in
+        let scored = ref [] in
+        for h = Connection.n_buses conn - 1 downto 0 do
+          if fits w h then scored := (gain w ~wf_src ~wf_dst h, h) :: !scored
+        done;
         let ranked =
-          List.sort
-            (fun a b -> compare (gain w b) (gain w a))
-            existing
+          List.stable_sort (fun (a, _) (b, _) -> Float.compare b a) !scored
         in
         (* Keep the best few with pairwise distinct topologies (§4.1.2). *)
-        let rec distinct seen = function
+        let rec distinct k seen = function
           | [] -> []
-          | h :: hs ->
+          | _ when k <= 0 -> []
+          | (_, h) :: hs ->
               let topo = Connection.topology conn ~bus:h in
-              if List.mem topo seen then distinct seen hs
-              else h :: distinct (topo :: seen) hs
+              if List.mem topo seen then distinct k seen hs
+              else h :: distinct (k - 1) (topo :: seen) hs
         in
-        let candidates = Mcs_util.Listx.take branching (distinct [] ranked) in
+        let candidates = distinct branching [] ranked in
         let try_bus h =
           let saved_out = Connection.out_width conn ~bus:h ~partition:src in
           let saved_in = Connection.in_width conn ~bus:h ~partition:dst in
           Connection.widen_for conn ~bus:h ~src ~dst ~width;
-          add_value h (Cdfg.io_value cdfg w);
-          Hashtbl.replace assigned w h;
+          add_value h op_value.(w);
+          bus_of.(w) <- h;
+          count_left w (-1);
+          touch_move w h;
           unassigned_bits.(src) <- unassigned_bits.(src) - width;
           unassigned_bits.(dst) <- unassigned_bits.(dst) - width;
           if viable () && assign_nodes rest then true
@@ -220,8 +283,10 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
             M.incr m_backtracks;
             unassigned_bits.(src) <- unassigned_bits.(src) + width;
             unassigned_bits.(dst) <- unassigned_bits.(dst) + width;
-            Hashtbl.remove assigned w;
-            remove_value h (Cdfg.io_value cdfg w);
+            touch_move w h;
+            count_left w 1;
+            bus_of.(w) <- -1;
+            remove_value h op_value.(w);
             Connection.shrink conn ~bus:h ~src ~dst ~out_w:saved_out
               ~in_w:saved_in;
             false
@@ -231,6 +296,7 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
         ||
         (* Fresh bus as the final alternative. *)
         let h = Connection.new_bus conn in
+        ensure_bus h;
         if fits w h && try_bus h then true
         else begin
           Connection.drop_last_bus conn;
@@ -260,9 +326,7 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
       Error (Exhausted e)
   | false -> Error Infeasible
   | true ->
-      let assign =
-        List.map (fun w -> (w, Hashtbl.find assigned w)) (Cdfg.io_ops cdfg)
-      in
+      let assign = List.map (fun w -> (w, bus_of.(w))) (Cdfg.io_ops cdfg) in
       Ok { conn; assign }
 
 let pins_used_by_partition r =

@@ -6,11 +6,13 @@ module M = Mcs_obs.Metrics
 module Log = Mcs_obs.Log
 module Budget = Mcs_resilience.Budget
 module Fault = Mcs_resilience.Fault
+module IO = Mcs_connect.Io_table
 
 let m_attempts = M.counter "subbus.attempts"
 let m_search_nodes = M.counter "subbus.search_nodes"
 let m_backtracks = M.counter "subbus.backtracks"
 let m_retired = M.counter "subbus.retired_buses"
+let m_node_limit = M.counter "subbus.node_limit"
 
 type sub = Lo | Hi | Whole
 
@@ -31,35 +33,55 @@ type t = {
   static_pipe_length : int option;
 }
 
-(* Mutable search state for one bus. *)
+(* Mutable search state for one bus.  The fields after [assigned] are
+   derived from it.  Every write to [assigned] updates [n_occ] and marks
+   the rest [stale], and [derived] rebuilds them on first use, so each node
+   pays only for the bus it changed. *)
 type sbus = {
   mutable swidth : int;
   mutable split : int option;
   sports : int array; (* r_{i,h}, bidirectional *)
   mutable assigned : (Types.op_id * sub) list;
+  mutable n_occ : int; (* List.length assigned *)
+  mutable stale : bool;
+  mutable load_lo : int; (* distinct values on Lo or Whole *)
+  mutable load_hi : int; (* distinct values on Hi or Whole *)
+  mutable on_slices : (int * int) list;
+      (* (value id, slices it occupies as bits of [slice_bit]) *)
+  mutable occ_widths : int list;
+      (* distinct occupant width indices, first occurrence first *)
+  load_over : int array;
+      (* per width index k: distinct values of occupants wider than that
+         width — the Hi load once the bus splits there *)
 }
+
+let slice_bit = function Lo -> 1 | Hi -> 2 | Whole -> 4
+
+(* A viable move for the operation at hand: [slice] of [bus], first split
+   at [split_lo] when given.  The rest is its rank, computed once: extra
+   pins, then value sharing, plain before split, then load. *)
+type candidate = {
+  bus : sbus;
+  slice : sub;
+  split_lo : int option;
+  cost : int;
+  share : bool;
+  load : int;
+}
+
+let ranks_before a b =
+  let plain c = Option.is_none c.split_lo in
+  if a.cost <> b.cost then a.cost < b.cost
+  else if a.share <> b.share then a.share
+  else if plain a <> plain b then plain a
+  else a.load < b.load
 
 let port_need ~split_lo op_width = function
   | Lo | Whole -> op_width
   | Hi -> split_lo + op_width
 
-(* Distinct values loading one half of the bus: slice occupants plus
-   whole-bus occupants.  For [Whole] the relevant load is the fuller half. *)
-let half_load cdfg b half =
-  List.length
-    (Mcs_util.Listx.uniq String.equal
-       (List.filter_map
-          (fun (w, s) ->
-            if s = half || s = Whole then Some (Cdfg.io_value cdfg w)
-            else None)
-          b.assigned))
-
-let slice_load cdfg b slice =
-  match slice with
-  | Lo | Hi -> half_load cdfg b slice
-  | Whole -> max (half_load cdfg b Lo) (half_load cdfg b Hi)
-
 let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
+  M.incr m_attempts;
   (match Fault.exhaust_heuristic () with
   | Some e -> raise (Budget.Out_of_budget e)
   | None -> ());
@@ -70,125 +92,222 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
   let n = Cdfg.n_partitions cdfg in
   let buses : sbus list ref = ref [] in
   let pins_used = Array.make (n + 1) 0 in
-  let pin_cap p = Constraints.pins cons p in
-  let ops =
-    List.sort
-      (fun a b ->
-        let c = compare (Cdfg.io_width cdfg b) (Cdfg.io_width cdfg a) in
-        if c <> 0 then c else compare a b)
-      (Cdfg.io_ops cdfg)
-  in
-  let assigned_to : (Types.op_id, sbus * sub) Hashtbl.t = Hashtbl.create 64 in
-  (* Extra pins both endpoints of [op] need to use [slice] of [b]. *)
-  let extra b op slice =
-    let width = Cdfg.io_width cdfg op in
-    let lo = Option.value ~default:b.swidth b.split in
-    let need = port_need ~split_lo:lo width slice in
-    let at p = max 0 (need - b.sports.(p)) in
-    (at (Cdfg.io_src cdfg op), at (Cdfg.io_dst cdfg op))
-  in
-  let fits b op slice =
-    let width = Cdfg.io_width cdfg op in
-    let slice_ok =
-      match (b.split, slice) with
-      | None, Whole -> width <= b.swidth
-      | None, (Lo | Hi) -> false
-      | Some lo, Lo -> width <= lo
-      | Some lo, Hi -> width <= b.swidth - lo
-      | Some _, Whole ->
-          (* A value may group both (consecutive) sub-buses. *)
-          width <= b.swidth
-    in
-    let ds, dd = extra b op slice in
-    let src = Cdfg.io_src cdfg op and dst = Cdfg.io_dst cdfg op in
-    let cap_ok =
-      List.exists
+  let pin_cap = Array.init (n + 1) (Constraints.pins cons) in
+  let io = IO.make cdfg in
+  let ops = io.IO.ops and n_ops = Cdfg.n_ops cdfg and widths = io.IO.widths in
+  let op_width = io.IO.width and op_value = io.IO.value in
+  let op_src = io.IO.src and op_dst = io.IO.dst and op_wk = io.IO.width_index in
+  let n_widths = Array.length widths in
+  (* The (bus, slice) each placed operation occupies. *)
+  let placed : (sbus * sub) option array = Array.make n_ops None in
+  (* Scratch for [derived], per value id: the rebuild that last saw it, its
+     slices, and its widest occupant's width index. *)
+  let seen = Array.make io.IO.n_values 0 and stamp = ref 0 in
+  let slices = Array.make io.IO.n_values 0
+  and widest = Array.make io.IO.n_values 0 in
+  let derived b =
+    if b.stale then begin
+      b.stale <- false;
+      incr stamp;
+      let values = ref [] and ks = ref [] in
+      List.iter
         (fun (w, s) ->
-          (s = slice)
-          && String.equal (Cdfg.io_value cdfg w) (Cdfg.io_value cdfg op))
-        b.assigned
-      || slice_load cdfg b slice < !cap_limit
-    in
-    slice_ok && cap_ok
-    && pins_used.(src) + ds <= pin_cap src
-    && pins_used.(dst) + dd <= pin_cap dst
+          let v = op_value.(w) and k = op_wk.(w) in
+          if seen.(v) <> !stamp then begin
+            seen.(v) <- !stamp;
+            slices.(v) <- 0;
+            widest.(v) <- k;
+            values := v :: !values
+          end
+          else widest.(v) <- max widest.(v) k;
+          slices.(v) <- slices.(v) lor slice_bit s;
+          if not (List.exists (Int.equal k) !ks) then ks := k :: !ks)
+        b.assigned;
+      b.occ_widths <- List.rev !ks;
+      b.on_slices <- List.map (fun v -> (v, slices.(v))) !values;
+      let on bits =
+        List.fold_left
+          (fun n v -> if slices.(v) land bits <> 0 then n + 1 else n)
+          0 !values
+      in
+      b.load_lo <- on (slice_bit Lo lor slice_bit Whole);
+      b.load_hi <- on (slice_bit Hi lor slice_bit Whole);
+      Array.fill b.load_over 0 n_widths 0;
+      List.iter
+        (fun v ->
+          for k = 0 to widest.(v) - 1 do
+            b.load_over.(k) <- b.load_over.(k) + 1
+          done)
+        !values
+    end;
+    b
+  in
+  let present b slice v =
+    List.exists
+      (fun (v', bits) -> v' = v && bits land slice_bit slice <> 0)
+      b.on_slices
+  in
+  (* Distinct values loading [slice] of [b]: slice occupants plus whole-bus
+     occupants.  For [Whole] the relevant load is the fuller half. *)
+  let slice_load b = function
+    | Lo -> b.load_lo
+    | Hi -> b.load_hi
+    | Whole -> max b.load_lo b.load_hi
+  in
+  (* The pin bound of partition p reads p's pending widths and pins, and
+     the free cycles of its ports, kept in [free_at.(p)] as sums per port
+     width: a port's width is a design width or a split point plus one, so
+     [port_widths] lists them all, ascending.  [bound_ok.(p)] records that
+     the bound held when last evaluated; every write to one of its inputs
+     clears it, so only partitions whose inputs changed are evaluated
+     again. *)
+  let port_widths =
+    Array.of_list
+      (List.sort_uniq compare
+         (Array.to_list widths
+         @ List.concat_map
+             (fun a -> List.map (fun b -> a + b) (Array.to_list widths))
+             (Array.to_list widths)))
+  in
+  let pw_index = Array.make (1 + Array.fold_left max 0 port_widths) (-1) in
+  Array.iteri (fun j pw -> pw_index.(pw) <- j) port_widths;
+  let free_at =
+    Array.init (n + 1) (fun _ -> Array.make (Array.length port_widths) 0)
+  in
+  let bound_ok = Array.make (n + 1) false in
+  let touch p = bound_ok.(p) <- false in
+  (* Adds ([sign] = 1) or withdraws (-1) the free cycles of [b]'s port on
+     [p]: 2 x cap_limit minus its occupants, when positive. *)
+  let contribute b p sign =
+    let r = b.sports.(p) in
+    if r > 0 then begin
+      let free = (2 * !cap_limit) - b.n_occ in
+      if free > 0 then begin
+        let j = pw_index.(r) in
+        free_at.(p).(j) <- free_at.(p).(j) + (sign * free)
+      end;
+      touch p
+    end
+  in
+  let contribute_bus b sign =
+    for p = 0 to n do
+      contribute b p sign
+    done
+  in
+  (* After a change of [cap_limit] or of the bus set as a whole. *)
+  let recount_free () =
+    Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) free_at;
+    List.iter (fun b -> contribute_bus b 1) !buses;
+    Array.fill bound_ok 0 (n + 1) false
+  in
+  let set_assigned b l =
+    contribute_bus b (-1);
+    b.assigned <- l;
+    b.n_occ <- List.length l;
+    b.stale <- true;
+    contribute_bus b 1
+  in
+  let set_port b p r =
+    contribute b p (-1);
+    b.sports.(p) <- r;
+    contribute b p 1;
+    touch p
+  in
+  let set_pins p x =
+    pins_used.(p) <- x;
+    touch p
+  in
+  (* Pending widths per partition: counts over [widths] of the operations
+     touching it that are not [placed].  Compaction keeps its movers placed
+     (on the retired bus) until a failed placement removes them, so the
+     counts follow [placed] exactly. *)
+  let pending = Array.init (n + 1) (fun _ -> Array.make n_widths 0) in
+  let count_pending w d =
+    let k = op_wk.(w) and s = op_src.(w) and t = op_dst.(w) in
+    pending.(s).(k) <- pending.(s).(k) + d;
+    touch s;
+    if t <> s then begin
+      pending.(t).(k) <- pending.(t).(k) + d;
+      touch t
+    end
+  in
+  let recount_pending () =
+    Array.iter (fun a -> Array.fill a 0 n_widths 0) pending;
+    List.iter (fun w -> if Option.is_none placed.(w) then count_pending w 1) ops
+  in
+  recount_pending ();
+  let place w slot =
+    if Option.is_none placed.(w) then count_pending w (-1);
+    placed.(w) <- Some slot
+  in
+  let unplace w =
+    if Option.is_some placed.(w) then begin
+      count_pending w 1;
+      placed.(w) <- None
+    end
+  in
+  let need_of b op slice =
+    port_need ~split_lo:(Option.value ~default:b.swidth b.split) op_width.(op)
+      slice
   in
   let commit b op slice =
-    let ds, dd = extra b op slice in
-    let src = Cdfg.io_src cdfg op and dst = Cdfg.io_dst cdfg op in
-    let lo = Option.value ~default:b.swidth b.split in
-    let need = port_need ~split_lo:lo (Cdfg.io_width cdfg op) slice in
-    pins_used.(src) <- pins_used.(src) + ds;
-    pins_used.(dst) <- pins_used.(dst) + dd;
-    b.sports.(src) <- max b.sports.(src) need;
-    b.sports.(dst) <- max b.sports.(dst) need;
-    b.assigned <- (op, slice) :: b.assigned;
-    Hashtbl.replace assigned_to op (b, slice)
+    let need = need_of b op slice in
+    let widen p =
+      set_pins p (pins_used.(p) + max 0 (need - b.sports.(p)));
+      set_port b p (max b.sports.(p) need)
+    in
+    widen op_src.(op);
+    widen op_dst.(op);
+    set_assigned b ((op, slice) :: b.assigned);
+    place op (b, slice)
   in
   (* Optimistic feasibility prune (see Heuristic.search): assuming maximal
      reuse of existing ports — every port absorbing up to 2 x slot_cap
      not-wider operations, the sub-bus optimum — the remaining unassigned
-     operations still need some fresh pins on each partition. *)
-  let pins_viable assigned_mem =
-    let ok p =
-      let pending = ref [] in
-      List.iter
-        (fun w ->
-          if not (assigned_mem w) then begin
-            if Cdfg.io_src cdfg w = p || Cdfg.io_dst cdfg w = p then
-              pending := Cdfg.io_width cdfg w :: !pending
-          end)
-        ops;
-      let widths = List.sort (fun a b -> compare b a) !pending in
-      let ports =
-        List.filter_map
-          (fun b ->
-            if b.sports.(p) > 0 then
-              Some
-                ( b.sports.(p),
-                  max 0 ((2 * !cap_limit) - List.length b.assigned) )
-            else None)
-          !buses
-      in
-      let sorted_ports = List.sort (fun (a, _) (b, _) -> compare a b) ports in
-      (* A port of width pw absorbs, per free cycle, one op <= pw plus
-         possibly a second op fitting the remaining lines (two sub-buses
-         max). *)
-      let rec absorb_cycle pw rem =
-        let rec take1 acc = function
-          | [] -> None
-          | w :: tl when w <= pw -> Some (w, List.rev_append acc tl)
-          | w :: tl -> take1 (w :: acc) tl
-        in
-        match take1 [] rem with
-        | None -> rem
-        | Some (w1, rem') -> (
-            let rec take2 acc = function
-              | [] -> rem'
-              | w :: tl when w <= pw - w1 -> List.rev_append acc tl
-              | w :: tl -> take2 (w :: acc) tl
-            in
-            match rem' with [] -> [] | _ -> take2 [] rem')
-      and absorb_port (pw, free) rem =
-        if free = 0 || rem = [] then rem
-        else absorb_port (pw, free - 1) (absorb_cycle pw rem)
-      in
-      let leftovers =
-        List.fold_left (fun rem port -> absorb_port port rem) widths
-          sorted_ports
-      in
-      let rec fresh_cost rem =
-        match rem with
-        | [] -> 0
-        | widest :: _ ->
-            let rec burn k rem =
-              if k = 0 then rem else burn (k - 1) (absorb_cycle widest rem)
-            in
-            widest + fresh_cost (burn !cap_limit rem)
-      in
-      pins_used.(p) + fresh_cost leftovers <= pin_cap p
+     operations still need some fresh pins on each partition.  Works on a
+     copy [left] of the partition's pending counts. *)
+  let left = IO.bag io in
+  (* A port of width pw absorbs, per free cycle, one op <= pw plus
+     possibly a second op fitting the remaining lines (two sub-buses
+     max).  A cycle that absorbs nothing ends the port: later ones would
+     not either. *)
+  let rec absorb_port pw free =
+    if free > 0 && IO.size left > 0 then begin
+      let w1 = IO.take left 1 pw in
+      if w1 >= 0 then begin
+        if IO.size left > 0 then ignore (IO.take left 1 (pw - w1));
+        absorb_port pw (free - 1)
+      end
+    end
+  in
+  let viable_at p =
+    IO.load left pending.(p);
+    (* Narrow ports first; ports of equal width absorb alike, so their free
+       cycles pool. *)
+    Array.iteri
+      (fun j free -> if free > 0 then absorb_port port_widths.(j) free)
+      free_at.(p);
+    (* Leftovers need fresh ports: each as wide as the widest remaining
+       op, carrying [cap_limit] cycles. *)
+    let room = pin_cap.(p) - pins_used.(p) in
+    let rec fresh cost =
+      cost <= room
+      && (IO.size left = 0
+         ||
+         let w = IO.widest left in
+         absorb_port w !cap_limit;
+         fresh (cost + w))
     in
-    List.for_all ok (Mcs_util.Listx.range 0 (n + 1))
+    fresh 0
+  in
+  let pins_viable () =
+    let rec go p =
+      p > n
+      ||
+      (if not bound_ok.(p) then bound_ok.(p) <- viable_at p;
+       bound_ok.(p) && go (p + 1))
+    in
+    go 0
   in
   (* Candidate enumeration: slices of existing buses, splits of unsplit
      buses, and a fresh bus; ranked by extra pin cost first (the paper's
@@ -203,139 +322,131 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
         incr nodes;
         M.incr m_search_nodes;
         Budget.spend_node budget;
-        if !nodes > max_nodes then false
+        if !nodes > max_nodes then begin
+          if !nodes = max_nodes + 1 then begin
+            M.incr m_node_limit;
+            Log.debug "[subbus] search stopped at the %d-node limit" max_nodes
+          end;
+          false
+        end
         else begin
-          let width = Cdfg.io_width cdfg op in
-          let src = Cdfg.io_src cdfg op and dst = Cdfg.io_dst cdfg op in
-          let plain =
-            List.concat_map
-              (fun b ->
-                match b.split with
-                | None -> [ (b, Whole, `Plain) ]
-                | Some _ -> [ (b, Lo, `Plain); (b, Hi, `Plain) ])
-              !buses
-          in
-          let splits =
-            (* Split points: the new operation's own width or a previous
-               occupant's; occupants not fitting the first sub-bus keep
-               using the whole bus (grouping both sub-buses, §6.1). *)
-            List.concat_map
-              (fun b ->
-                match b.split with
-                | Some _ -> []
-                | None ->
-                    let los =
-                      Mcs_util.Listx.uniq ( = )
-                        (width
-                        :: List.map
-                             (fun (w, _) -> Cdfg.io_width cdfg w)
-                             b.assigned)
-                    in
-                    List.filter_map
-                      (fun lo ->
-                        if lo + width <= b.swidth then
-                          Some (b, Hi, `Split lo)
-                        else None)
-                      los)
-              !buses
-          in
-          let with_split b lo f =
-            (* Simulate the split, including the reslotting of narrow
-               occupants onto the first sub-bus. *)
-            let saved_split = b.split in
-            let saved_assigned = b.assigned in
-            b.split <- Some lo;
-            b.assigned <-
-              List.map
-                (fun (w, s0) ->
-                  ignore s0;
-                  (w, if Cdfg.io_width cdfg w <= lo then Lo else Whole))
-                b.assigned;
-            let r = f () in
-            b.split <- saved_split;
-            b.assigned <- saved_assigned;
-            r
-          in
-          let viable =
-            List.filter
-              (fun (b, slice, kind) ->
-                match kind with
-                | `Plain -> fits b op slice
-                | `Split lo -> with_split b lo (fun () -> fits b op Hi))
-              (plain @ splits)
-          in
-          let score (b, slice, kind) =
-            let g2 =
-              if
-                List.exists
-                  (fun (w, s) ->
-                    s = slice
-                    && String.equal (Cdfg.io_value cdfg w)
-                         (Cdfg.io_value cdfg op))
-                  b.assigned
-              then 1
-              else 0
+          let width = op_width.(op) and v = op_value.(op) in
+          let src = op_src.(op) and dst = op_dst.(op) in
+          (* The best three viable candidates, ties in enumeration order. *)
+          let top = ref [] in
+          let offer c =
+            let rec insert k = function
+              | [] -> if k > 0 then [ c ] else []
+              | x :: _ as xs when ranks_before c x ->
+                  c :: Mcs_util.Listx.take (k - 1) xs
+              | x :: xs -> x :: insert (k - 1) xs
             in
-            let ds, dd =
-              match kind with
-              | `Plain -> extra b op slice
-              | `Split lo -> with_split b lo (fun () -> extra b op Hi)
-            in
-            let g_plain = match kind with `Plain -> 1 | `Split _ -> 0 in
-            (-(ds + dd), g2, g_plain, -slice_load cdfg b slice)
+            top := insert 3 !top
           in
-          let ranked =
-            Mcs_util.Listx.take 3
-              (List.sort (fun a b -> compare (score b) (score a)) viable)
+          (* Extra pins both endpoints commit for a port [need] lines
+             wide on [b]; -1 when that breaks a budget. *)
+          let room_src = pin_cap.(src) - pins_used.(src)
+          and room_dst = pin_cap.(dst) - pins_used.(dst) in
+          let extra_pins b need =
+            let ds = max 0 (need - b.sports.(src))
+            and dd = max 0 (need - b.sports.(dst)) in
+            if ds <= room_src && dd <= room_dst then ds + dd else -1
           in
-          let try_candidate (b, slice, kind) =
+          let plain b slice slice_ok =
+            if slice_ok then begin
+              let cost = extra_pins b (need_of b op slice) in
+              if cost >= 0 then begin
+                let share = present b slice v and load = slice_load b slice in
+                if share || load < !cap_limit then
+                  offer { bus = b; slice; split_lo = None; cost; share; load }
+              end
+            end
+          in
+          List.iter
+            (fun b ->
+              let b = derived b in
+              match b.split with
+              | None -> plain b Whole (width <= b.swidth)
+              | Some lo ->
+                  plain b Lo (width <= lo);
+                  plain b Hi (width <= b.swidth - lo))
+            !buses;
+          (* Split points: the new operation's own width or a previous
+             occupant's; occupants not fitting the first sub-bus keep
+             using the whole bus (grouping both sub-buses, §6.1).  After
+             the split no occupant sits on Hi, so the Hi load is that of
+             the occupants wider than the split; the ranking reads the
+             unsplit bus, as a plain candidate would. *)
+          let split b k =
+            let lo = widths.(k) in
+            if lo + width <= b.swidth && b.load_over.(k) < !cap_limit then begin
+              let cost = extra_pins b (lo + width) in
+              if cost >= 0 then
+                offer
+                  {
+                    bus = b;
+                    slice = Hi;
+                    split_lo = Some lo;
+                    cost;
+                    share = present b Hi v;
+                    load = b.load_hi;
+                  }
+            end
+          in
+          List.iter
+            (fun b ->
+              (* No split point is narrower than the narrowest width. *)
+              if b.split = None && widths.(0) + width <= b.swidth then begin
+                let b = derived b in
+                split b op_wk.(op);
+                List.iter
+                  (fun k -> if k <> op_wk.(op) then split b k)
+                  b.occ_widths
+              end)
+            !buses;
+          let try_candidate { bus = b; slice; split_lo; _ } =
             (* Save state for backtracking. *)
             let saved_split = b.split in
             let saved_assigned = b.assigned in
             let saved_src = b.sports.(src) and saved_dst = b.sports.(dst) in
             let saved_pins_src = pins_used.(src)
             and saved_pins_dst = pins_used.(dst) in
-            let saved_slots =
-              List.map (fun (w, s) -> (w, (b, s))) b.assigned
-            in
-            (match kind with
-            | `Plain -> ()
-            | `Split lo ->
+            (match split_lo with
+            | None -> ()
+            | Some lo ->
                 b.split <- Some lo;
                 (* Narrow occupants move to the first sub-bus, the rest
                    keep grouping both sub-buses. *)
-                b.assigned <-
-                  List.map
-                    (fun (w, _) ->
-                      let slot =
-                        if Cdfg.io_width cdfg w <= lo then Lo else Whole
-                      in
-                      Hashtbl.replace assigned_to w (b, slot);
-                      (w, slot))
-                    b.assigned);
+                set_assigned b
+                  (List.map
+                     (fun (w, _) ->
+                       let slot = if op_width.(w) <= lo then Lo else Whole in
+                       place w (b, slot);
+                       (w, slot))
+                     b.assigned));
             commit b op slice;
-            if pins_viable (Hashtbl.mem assigned_to) && assign_rec rest then true
+            if pins_viable () && assign_rec rest then true
             else begin
               M.incr m_backtracks;
               b.split <- saved_split;
-              b.assigned <- saved_assigned;
-              b.sports.(src) <- saved_src;
-              b.sports.(dst) <- saved_dst;
-              pins_used.(src) <- saved_pins_src;
-              pins_used.(dst) <- saved_pins_dst;
-              List.iter
-                (fun (w, slot) -> Hashtbl.replace assigned_to w slot)
-                saved_slots;
-              Hashtbl.remove assigned_to op;
+              set_assigned b saved_assigned;
+              set_port b src saved_src;
+              set_port b dst saved_dst;
+              set_pins src saved_pins_src;
+              set_pins dst saved_pins_dst;
+              (* A plain candidate leaves the occupants' slots alone. *)
+              if Option.is_some split_lo then
+                List.iter (fun (w, s) -> place w (b, s)) saved_assigned;
+              unplace op;
               false
             end
           in
-          List.exists try_candidate ranked
+          List.exists try_candidate !top
           ||
           (* Fresh bus of exactly this operation's width. *)
           (!allow_fresh
-          && pins_used.(src) + width <= pin_cap src
-          && pins_used.(dst) + width <= pin_cap dst
+          && pins_used.(src) + width <= pin_cap.(src)
+          && pins_used.(dst) + width <= pin_cap.(dst)
           &&
           let b =
             {
@@ -343,17 +454,25 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
               split = None;
               sports = Array.make (n + 1) 0;
               assigned = [];
+              stale = true;
+              n_occ = 0;
+              load_lo = 0;
+              load_hi = 0;
+              on_slices = [];
+              occ_widths = [];
+              load_over = Array.make n_widths 0;
             }
           in
           buses := !buses @ [ b ];
           commit b op Whole;
-          if pins_viable (Hashtbl.mem assigned_to) && assign_rec rest then true
+          if pins_viable () && assign_rec rest then true
           else begin
             M.incr m_backtracks;
+            contribute_bus b (-1);
             buses := List.filter (fun b' -> b' != b) !buses;
-            pins_used.(src) <- pins_used.(src) - width;
-            pins_used.(dst) <- pins_used.(dst) - width;
-            Hashtbl.remove assigned_to op;
+            set_pins src (pins_used.(src) - width);
+            set_pins dst (pins_used.(dst) - width);
+            unplace op;
             false
           end)
         end
@@ -363,16 +482,15 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
      sub-bus sharing actually buys pins back. *)
   let recompute_pins () =
     for p = 0 to n do
-      pins_used.(p) <-
-        Mcs_util.Listx.sum (fun b -> b.sports.(p)) !buses
-    done
+      pins_used.(p) <- Mcs_util.Listx.sum (fun b -> b.sports.(p)) !buses
+    done;
+    recount_free ()
   in
   let snapshot () =
     ( List.map
-        (fun b ->
-          (b, b.swidth, b.split, Array.copy b.sports, b.assigned))
+        (fun b -> (b, b.swidth, b.split, Array.copy b.sports, b.assigned))
         !buses,
-      Hashtbl.copy assigned_to )
+      Array.copy placed )
   in
   let restore (saved, table) =
     buses := List.map (fun (b, _, _, _, _) -> b) saved;
@@ -381,28 +499,25 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
         b.swidth <- w;
         b.split <- sp;
         Array.blit ports 0 b.sports 0 (Array.length ports);
-        b.assigned <- asg)
+        b.assigned <- asg;
+        b.n_occ <- List.length asg;
+        b.stale <- true)
       saved;
-    Hashtbl.reset assigned_to;
-    Hashtbl.iter (fun k v -> Hashtbl.replace assigned_to k v) table;
+    Array.blit table 0 placed 0 n_ops;
+    recount_pending ();
     recompute_pins ()
   in
   let compact () =
     let improved = ref true in
     while !improved do
       improved := false;
-      let by_load =
-        List.sort
-          (fun a b -> compare (List.length a.assigned) (List.length b.assigned))
-          !buses
-      in
+      let by_load = List.sort (fun a b -> compare a.n_occ b.n_occ) !buses in
       let try_retire victim =
         let saved = snapshot () in
         cap_limit := rate;
         let movers =
           List.sort
-            (fun (a, _) (b, _) ->
-              compare (Cdfg.io_width cdfg b) (Cdfg.io_width cdfg a))
+            (fun (a, _) (b, _) -> compare op_width.(b) op_width.(a))
             victim.assigned
         in
         buses := List.filter (fun b -> b != victim) !buses;
@@ -412,6 +527,7 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
         let ok = assign_rec (List.map fst movers) in
         allow_fresh := true;
         cap_limit := slot_cap;
+        recount_free ();
         if ok then begin
           M.incr m_retired;
           improved := true;
@@ -458,7 +574,7 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
       let assignment =
         List.map
           (fun op ->
-            let b, s = Hashtbl.find assigned_to op in
+            let b, s = Option.get placed.(op) in
             let rec index i = function
               | [] -> assert false
               | x :: rest -> if x == b then i else index (i + 1) rest
@@ -766,7 +882,6 @@ let schedule_over ?(budget = Budget.unlimited) cdfg mlib cons ~rate ~dynamic
 
 let attempt ?(budget = Budget.unlimited) cdfg mlib cons ~rate ~slot_cap
     ~dynamic =
-  M.incr m_attempts;
   match
     Mcs_obs.Trace.with_span "ch6.search"
       ~attrs:[ ("slot_cap", string_of_int slot_cap) ]

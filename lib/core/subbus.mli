@@ -47,7 +47,10 @@ val search :
     assignment of each I/O operation to (bus, slice).  [budget] bounds the
     backtracking search; exhaustion (and the [exhaust-heuristic] fault)
     raises {!Mcs_resilience.Budget.Out_of_budget} so the caller's
-    degradation ladder can take over. *)
+    degradation ladder can take over.  The search also stops after
+    200 000 nodes on its own; that cutoff returns [Error] like any failed
+    search (the caller's slot-cap sweep goes on) and counts in the
+    [subbus.node_limit] metric.  Every call counts in [subbus.attempts]. *)
 
 val schedule_over :
   ?budget:Mcs_resilience.Budget.t ->

@@ -327,6 +327,13 @@ let test_bounds_elliptic_exact () =
   (* At rate 2 those 4 transfers need 2 ports. *)
   checki "P5 min in, rate 2" 32 (Bounds.min_input_pins cdfg ~rate:2 ~partition:5)
 
+(* Assignment, bus structure, node and backtrack counts of every Ch. 4
+   search in the golden fixture (paper points and generated designs). *)
+let test_golden_heuristic () =
+  Golden_connect.check "Ch. 4" (function
+    | Golden_connect.Ch4 _ -> true
+    | Golden_connect.Ch6 -> false)
+
 let suite =
   ( "connect",
     [
@@ -347,6 +354,7 @@ let suite =
       Alcotest.test_case "same-value slot sharing" `Quick test_reassign_shares_same_value_slot;
       Alcotest.test_case "heuristic is deterministic" `Quick test_heuristic_deterministic;
       Alcotest.test_case "exact bounds on the elliptic filter" `Quick test_bounds_elliptic_exact;
+      Alcotest.test_case "golden Ch. 4 search records" `Quick test_golden_heuristic;
       Alcotest.test_case "Ch4 ILP on a small design" `Slow test_ch4_ilp_small;
       Alcotest.test_case "Ch4 ILP detects infeasibility" `Slow test_ch4_ilp_detects_infeasible;
       Alcotest.test_case "Ch6 ILP sub-bus micro case" `Slow test_ch6_ilp_micro;

@@ -526,11 +526,19 @@ let test_dot_export () =
   in
   checkb "recursive edges dashed" true (contains2 "style=dashed")
 
+(* Assignment, bus structure, node and backtrack counts of every Ch. 6
+   search in the golden fixture (paper points and generated designs). *)
+let test_golden_subbus () =
+  Golden_connect.check "Ch. 6" (function
+    | Golden_connect.Ch6 -> true
+    | Golden_connect.Ch4 _ -> false)
+
 let extra_tests =
   [
     Alcotest.test_case "Improve never worsens the pipe" `Slow test_improve_never_worse;
     Alcotest.test_case "Improve beats greedy at rate 3" `Slow test_improve_finds_shorter_pipe;
     Alcotest.test_case "Graphviz export" `Quick test_dot_export;
+    Alcotest.test_case "golden Ch. 6 search records" `Quick test_golden_subbus;
   ]
 
 let suite = ("core", base_tests @ extra_tests)
