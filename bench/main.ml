@@ -756,8 +756,8 @@ module E_pool = Mcs_engine.Pool
 module E_outcome = Mcs_engine.Outcome
 
 (* The paper's AR-filter table sweeps (Tables 4.2, 4.10, 5.1 and the
-   Chapter 6 comparison) as one batch, run sequentially and then on four
-   forked workers: same results, measured wall-clock speedup. *)
+   Chapter 6 comparison) as one batch, run with one worker (the caller)
+   and then with four: same results, measured wall-clock speedup. *)
 let dse () =
   section "E-DSE - the paper's table sweeps as engine batch jobs";
   let ar = E_job.Named "ar-general" in
@@ -776,7 +776,15 @@ let dse () =
   in
   let seq, t_seq = timed (fun () -> E_pool.run ~jobs:1 jobs) in
   let par, t_par = timed (fun () -> E_pool.run ~jobs:4 jobs) in
-  let identical = List.for_all2 E_outcome.equal seq par in
+  (* The answers, not the per-job solver effort: jobs share the
+     process-wide warm-start registry, so effort depends on what ran
+     before. *)
+  let answer (o : E_outcome.t) =
+    E_outcome.to_string { o with E_outcome.solver = None }
+  in
+  let identical =
+    List.for_all2 (fun a b -> answer a = answer b) seq par
+  in
   let front = Mcs_engine.Pareto.frontier par in
   Report.table fmt
     ~title:
@@ -859,13 +867,30 @@ let rm_rf dir =
       (try Unix.rmdir dir with Unix.Unix_error _ -> ())
   | exception Sys_error _ -> ()
 
-(* Cold side: each job as its own fresh in-process run (what 20 CLI
-   invocations cost, minus process startup — charitable to cold).  Warm
-   side: a real forked daemon child with 2 worker domains, a warm cache
-   and a batching window; its solver work is read back from the
-   mcs-serve/1 stats.  The daemon must be a separate process anyway:
-   the parent keeps forking (Bechamel etc.), which OCaml 5 forbids once
-   a domain has been spawned. *)
+(* A daemon in this process: the server loop on a domain of its own, with
+   the caller as its client.  The daemon shares this process's counters,
+   so everything it reports is a delta over their values at start. *)
+let with_daemon (config : S_server.config) f =
+  let t = S_server.create ~config () in
+  let d = Domain.spawn (fun () -> S_server.serve t) in
+  Fun.protect
+    ~finally:(fun () ->
+      S_server.request_shutdown t;
+      Domain.join d)
+    (fun () ->
+      let c = S_client.connect_unix config.S_server.socket_path in
+      Fun.protect
+        ~finally:(fun () ->
+          (match S_client.shutdown c with
+          | Ok _ -> ()
+          | Error m -> Format.eprintf "bench daemon shutdown: %s@." m);
+          S_client.close c)
+        (fun () -> f c))
+
+(* Cold side: each job as its own fresh run (what 20 CLI invocations
+   cost, minus process startup — charitable to cold).  Warm side: a
+   daemon with one worker domain, a warm cache and a batching window; its
+   solver work is read back from the mcs-serve/1 stats. *)
 let serve_numbers () =
   let uniq = serve_uniq () in
   (* Wave 1 repeats half the grid while it is still in flight (those
@@ -876,7 +901,7 @@ let serve_numbers () =
   let jobs = wave1 @ wave2 in
   let p0 = all_pivots () in
   let t0 = Unix.gettimeofday () in
-  let cold = List.concat_map (fun j -> E_pool.run_local [ j ]) jobs in
+  let cold = List.concat_map (fun j -> E_pool.run ~jobs:1 [ j ]) jobs in
   let cold_wall = Unix.gettimeofday () -. t0 in
   let cold_pivots = all_pivots () - p0 in
   assert (List.length cold = List.length jobs);
@@ -890,110 +915,74 @@ let serve_numbers () =
       (Filename.get_temp_dir_name ())
       (Unix.getpid ())
   in
-  (* The child inherits this process's counters; warm solver work is the
-     delta the daemon's stats show over the value at fork time. *)
-  let p_fork = all_pivots () in
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        try
-          let config =
-            {
-              S_server.default_config with
-              S_server.socket_path = sock;
-              (* One worker domain on purpose: this experiment isolates
-                 what the daemon's deduplication (coalescing + warm
-                 cache) saves, not SMP scaling.  The historical
-                 two-domain slowdown on this grid (4.7 s vs 2.9 s) was
-                 diagnosed as stop-the-world minor-GC synchronisation —
-                 under the default 256k-word minor heap the
-                 allocation-heavy flows barrier every other domain
-                 every few ms; with >= 1M words the wall is flat in the
-                 domain count.  The mcs-serve binary fixes it by
-                 re-exec'ing with OCAMLRUNPARAM=s=4M (see
-                 Domain_pool.recommended_minor_heap_words); this
-                 in-process child can't re-exec, one more reason to
-                 keep domains = 1 here. *)
-              domains = 1;
-              cache_dir = Some cache_dir;
-              window_ms = 25.0;
-            }
-          in
-          let t = S_server.create ~config () in
-          S_server.serve t;
-          0
-        with _ -> 1
+  let config =
+    {
+      S_server.default_config with
+      S_server.socket_path = sock;
+      (* One worker domain on purpose: this experiment isolates what the
+         daemon's deduplication (coalescing + warm cache) saves, not SMP
+         scaling.  The historical two-domain slowdown on this grid (4.7 s
+         vs 2.9 s) was diagnosed as stop-the-world minor-GC
+         synchronisation — under the default 256k-word minor heap the
+         allocation-heavy flows barrier every other domain every few ms;
+         with >= 1M words the wall is flat in the domain count.  The
+         mcs-serve binary fixes it by re-exec'ing with OCAMLRUNPARAM=s=4M
+         (see Supervisor.recommended_minor_heap_words); this in-process
+         daemon can't re-exec, one more reason to keep domains = 1 here. *)
+      domains = 1;
+      cache_dir = Some cache_dir;
+      window_ms = 25.0;
+    }
+  in
+  let p_start = all_pivots () in
+  Fun.protect ~finally:(fun () -> rm_rf cache_dir) @@ fun () ->
+  with_daemon config (fun c ->
+      let subs js =
+        List.map
+          (fun j ->
+            { S_proto.id = ""; job = j; deadline_ms = None; fallback = true })
+          js
       in
-      Unix._exit code
-  | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          rm_rf cache_dir)
-        (fun () ->
-          let rec connect_retry n =
-            match S_client.connect_unix sock with
-            | c -> c
-            | exception Unix.Unix_error _ when n > 0 ->
-                Unix.sleepf 0.05;
-                connect_retry (n - 1)
-          in
-          let c = connect_retry 100 in
-          let subs js =
-            List.map
-              (fun j ->
-                { S_proto.id = ""; job = j; deadline_ms = None; fallback = true })
-              js
-          in
-          let t1 = Unix.gettimeofday () in
-          let wave js =
-            match S_client.submit_all c (subs js) with
-            | Ok rs -> rs
-            | Error m -> failwith ("serve bench: " ^ m)
-          in
-          let r1 = wave wave1 in
-          let r2 = wave wave2 in
-          let replies = r1 @ r2 in
-          let warm_wall = Unix.gettimeofday () -. t1 in
-          let stats =
-            match S_client.stats c with
-            | Ok j -> j
-            | Error m -> failwith ("serve bench stats: " ^ m)
-          in
-          let stat name =
-            Option.value ~default:0
-              (Option.bind (Jx.member name stats) Jx.to_int)
-          in
-          let metric name =
-            Option.value ~default:0
-              (Option.bind
-                 (Option.bind (Jx.member "metrics" stats) (Jx.member name))
-                 Jx.to_int)
-          in
-          let numbers =
-            {
-              n_jobs = List.length jobs;
-              cold_wall;
-              warm_wall;
-              cold_pivots;
-              warm_pivots =
-                metric "simplex.pivots" + metric "fsimplex.pivots" - p_fork;
-              cache_hits = stat "cache_hits";
-              cache_misses = stat "cache_misses";
-              coalesced = stat "coalesced";
-              warm_replied =
-                List.length
-                  (List.filter
-                     (fun (r : S_proto.reply) -> r.S_proto.outcome <> None)
-                     replies);
-            }
-          in
-          (match S_client.shutdown c with
-          | Ok _ -> ()
-          | Error m -> Format.eprintf "serve bench shutdown: %s@." m);
-          S_client.close c;
-          numbers)
+      let t1 = Unix.gettimeofday () in
+      let wave js =
+        match S_client.submit_all c (subs js) with
+        | Ok rs -> rs
+        | Error m -> failwith ("serve bench: " ^ m)
+      in
+      let r1 = wave wave1 in
+      let r2 = wave wave2 in
+      let replies = r1 @ r2 in
+      let warm_wall = Unix.gettimeofday () -. t1 in
+      let stats =
+        match S_client.stats c with
+        | Ok j -> j
+        | Error m -> failwith ("serve bench stats: " ^ m)
+      in
+      let stat name =
+        Option.value ~default:0 (Option.bind (Jx.member name stats) Jx.to_int)
+      in
+      let metric name =
+        Option.value ~default:0
+          (Option.bind
+             (Option.bind (Jx.member "metrics" stats) (Jx.member name))
+             Jx.to_int)
+      in
+      {
+        n_jobs = List.length jobs;
+        cold_wall;
+        warm_wall;
+        cold_pivots;
+        warm_pivots =
+          metric "simplex.pivots" + metric "fsimplex.pivots" - p_start;
+        cache_hits = stat "cache_hits";
+        cache_misses = stat "cache_misses";
+        coalesced = stat "coalesced";
+        warm_replied =
+          List.length
+            (List.filter
+               (fun (r : S_proto.reply) -> r.S_proto.outcome <> None)
+               replies);
+      })
 
 let serve () =
   section
@@ -1053,43 +1042,6 @@ let chaos_job seed =
     ~design:(E_job.Random_simple { seed; n_partitions = 2; ops_per_chip = 3 })
     ~flow:E_job.Ch3 ~rate:2 ()
 
-(* A forked daemon child, like E-serve's (the parent must stay
-   domain-free so Bechamel can keep forking), but under a fault
-   schedule and with the durable journal on. *)
-let chaos_daemon ~fault ~wal ~recover sock =
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        try
-          if fault <> "" then Unix.putenv "MCS_FAULT" fault;
-          let config =
-            {
-              S_server.default_config with
-              S_server.socket_path = sock;
-              domains = 2;
-              window_ms = 5.0;
-              wal_path = Some wal;
-              recover;
-            }
-          in
-          let t = S_server.create ~config () in
-          S_server.serve t;
-          0
-        with _ -> 1
-      in
-      Unix._exit code
-  | pid -> pid
-
-let chaos_connect_retry sock =
-  let rec go n =
-    match S_client.connect_unix sock with
-    | c -> c
-    | exception Unix.Unix_error _ when n > 0 ->
-        Unix.sleepf 0.05;
-        go (n - 1)
-  in
-  go 100
-
 (* Two phases, both with deterministic counters.
 
    Burst: a daemon under MCS_FAULT=kill-domain:2 gets one victim job
@@ -1115,24 +1067,22 @@ let chaos_numbers () =
     | Ok j -> j
     | Error m -> failwith ("chaos bench stats: " ^ m)
   in
-  (* The child inherits this process's counters at fork; everything it
-     reports is a delta over the parent's value at that moment. *)
+  (* The daemon shares this process's counters; everything it reports is
+     read as a delta over their values before it started. *)
   let parent_count name = Mcs_obs.Metrics.count (Mcs_obs.Metrics.counter name) in
   let with_daemon ~fault ~recover f =
-    let pid = chaos_daemon ~fault ~wal ~recover sock in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      (fun () ->
-        let c = chaos_connect_retry sock in
-        Fun.protect
-          ~finally:(fun () ->
-            (match S_client.shutdown c with
-            | Ok _ -> ()
-            | Error m -> Format.eprintf "chaos bench shutdown: %s@." m);
-            S_client.close c)
-          (fun () -> f c))
+    Unix.putenv "MCS_FAULT" fault;
+    Fun.protect ~finally:(fun () -> Unix.putenv "MCS_FAULT" "") @@ fun () ->
+    with_daemon
+      {
+        S_server.default_config with
+        S_server.socket_path = sock;
+        domains = 2;
+        window_ms = 5.0;
+        wal_path = Some wal;
+        recover;
+      }
+      f
   in
   (* Phase 1: the kill-domain burst. *)
   let respawns0 = parent_count "server.respawns" in

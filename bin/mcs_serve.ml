@@ -12,7 +12,7 @@ module Server = Mcs_server.Server
 
 (* Multi-domain serving needs a bigger per-domain minor heap than the
    runtime's 256k-word default, or stop-the-world minor collections eat
-   the parallelism (see [Mcs_server.Supervisor.recommended_minor_heap_words]).
+   the parallelism (see [Mcs_engine.Supervisor.recommended_minor_heap_words]).
    On OCaml 5.1 the minor arenas are reserved at startup — [Gc.set]
    cannot grow them once the process runs — so the only reliable lever
    is [OCAMLRUNPARAM=s=...]: re-exec ourselves once with it set.  An
@@ -20,7 +20,7 @@ module Server = Mcs_server.Server
    the loop terminates because after the re-exec the variable carries
    [s=] and the guard no longer fires. *)
 let ensure_minor_heap domains =
-  let want = Mcs_server.Supervisor.recommended_minor_heap_words in
+  let want = Mcs_engine.Supervisor.recommended_minor_heap_words in
   let runparam = Option.value ~default:"" (Sys.getenv_opt "OCAMLRUNPARAM") in
   let has_s =
     List.exists

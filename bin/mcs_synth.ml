@@ -249,8 +249,8 @@ module Fs = Mcs_ilp.Fsimplex
 
 (* --arith: solver arithmetic for every ILP of the run, exported through
    the MCS_ARITH environment channel so it reaches every layer that
-   defaults to [Fsimplex.arith_of_env] — including forked dse workers,
-   which inherit the environment.  Unknown values warn and keep the
+   defaults to [Fsimplex.arith_of_env] — including every dse worker
+   domain.  Unknown values warn and keep the
    default, like --trace and --log-level. *)
 let set_arith = function
   | None -> ()
@@ -530,8 +530,8 @@ let parse_flows s =
     (Ok []) names
 
 (* Grid planning shared by the dse and client subcommands: same flags,
-   same job list, so a sweep can be pointed at the fork pool or at a
-   warm daemon interchangeably. *)
+   same job list, so a sweep can run in-process or on a warm daemon
+   interchangeably. *)
 let grid_plan ?(refine = 0) designs_s flows_s rates_s pls_s =
   let refine = max 0 refine in
   let ( let* ) = Result.bind in
@@ -572,9 +572,8 @@ let grid_plan ?(refine = 0) designs_s flows_s rates_s pls_s =
            else match paper_rates with Some rs -> rs | None -> [ 2; 3; 4 ]
          in
          (* Ascending, deduplicated: neighboring grid points (rate r,
-            r+1) then run back-to-back, which is what lets the sequential
-            drains (run_local, a server batch) chain warm-start bases
-            from one point to the next. *)
+            r+1) then run back-to-back, which is what lets a server
+            batch chain warm-start bases from one point to the next. *)
          let rates = List.sort_uniq compare rates in
          E_job.grid ~designs:[ design ] ~flows ~rates ~pipe_lengths:pls
            ~refine ())
@@ -597,14 +596,22 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
         Mcs_prof.Chrome_trace.start ()
       end;
       let cache = Option.map E_cache.open_dir cache_dir in
-      (match deadline_ms with
-      | Some ms when ms > 0. ->
-          (* Forked workers inherit the environment; MCS_DEADLINE_MS is
-             how each one gets its own fresh per-job budget. *)
-          Unix.putenv "MCS_DEADLINE_MS" (Printf.sprintf "%.0f" ms)
-      | Some _ | None -> ());
+      (* A per-job budget: the pool gives each job a fresh copy. *)
+      let policy =
+        match deadline_ms with
+        | Some ms when ms > 0. ->
+            Some
+              {
+                Mcs_flow.Flow.default_policy with
+                Mcs_flow.Flow.budget =
+                  Mcs_resilience.Budget.make ~deadline_ms:ms ();
+              }
+        | Some _ | None -> None
+      in
       let t0 = Unix.gettimeofday () in
-      let outcomes = E_pool.run ~jobs ?timeout ?cache ~retry joblist in
+      let outcomes =
+        E_pool.run ~jobs ?timeout ?cache ~retry ?policy joblist
+      in
       let wall = Unix.gettimeofday () -. t0 in
       let front = E_pareto.frontier outcomes in
       Report.table fmt
@@ -645,9 +652,9 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
              ])
            outcomes);
       let c name = counter_count ("engine." ^ name) in
-      (* Solver-arithmetic visibility: each worker reports its own share
-         of the certification counters on its outcome (the parent's
-         in-process counters never see a forked worker's solves). *)
+      (* Solver-arithmetic visibility: the sum of each job's own share of
+         the certification counters, as reported on its outcome (cache
+         hits report the run that produced them). *)
       let sum_solver f =
         List.fold_left
           (fun acc (o : Mcs_engine.Outcome.t) ->
@@ -663,8 +670,8 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
         sum_solver (fun s -> s.Mcs_engine.Outcome.arith_fallbacks)
       in
       Format.fprintf fmt
-        "@.workers forked: %d; crashes: %d; timeouts: %d; retries: %d@."
-        (c "pool.forks") (c "pool.crashes") (c "pool.timeouts")
+        "@.jobs executed: %d; crashes: %d; timeouts: %d; retries: %d@."
+        (c "jobs.executed") (c "pool.crashes") (c "pool.timeouts")
         (c "pool.retries");
       Format.fprintf fmt
         "solver arithmetic: %s (%d certified, %d failed, %d rational \
@@ -706,7 +713,7 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
                             ("cache_hits", J.Int (c "cache.hits"));
                             ("cache_misses", J.Int (c "cache.misses"));
                             ("cache_stale", J.Int (c "cache.stale"));
-                            ("forks", J.Int (c "pool.forks"));
+                            ("executed", J.Int (c "jobs.executed"));
                             ("crashes", J.Int (c "pool.crashes"));
                             ("timeouts", J.Int (c "pool.timeouts"));
                             ("retries", J.Int (c "pool.retries"));
@@ -1014,7 +1021,7 @@ let arith_arg =
                with exact rational certification of every accepted basis, \
                the default) or $(b,rational) (exact arithmetic throughout, \
                the certification oracle).  Exported as $(b,MCS_ARITH), so \
-               forked dse workers inherit the choice.")
+               every dse worker uses it.")
 
 let synth_term =
   Term.(
@@ -1046,25 +1053,27 @@ let dse_cmd =
   in
   let jobs =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker processes to keep in flight.")
+           ~doc:"Jobs to run at once.  The calling domain runs jobs too \
+                 and counts as one, unless $(b,--timeout) needs it free to \
+                 enforce the stall limit.")
   in
   let cache =
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR"
            ~doc:"Persistent result cache directory (created if missing); \
-                 identical jobs are served from it without forking a \
-                 worker.")
+                 identical jobs are served from it without running.")
   in
   let timeout =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-           ~doc:"Per-job wall-clock limit; an overrunning worker is killed \
-                 and its point reported as timed out.")
+           ~doc:"Per-job stall limit: a job still running after this long \
+                 is reported as timed out and its worker domain abandoned, \
+                 so the sweep still finishes promptly.")
   in
   let deadline_ms =
     Arg.(value & opt (some float) None
          & info [ "deadline-ms" ] ~docv:"MS"
-             ~doc:"Per-job solver budget in wall milliseconds (exported to \
-                   workers as $(b,MCS_DEADLINE_MS)); jobs that exhaust it \
-                   degrade instead of overrunning.")
+             ~doc:"Per-job solver budget in wall milliseconds (each job \
+                   gets its own); jobs that exhaust it degrade instead of \
+                   overrunning.")
   in
   let retry =
     Arg.(value & flag
@@ -1085,8 +1094,8 @@ let dse_cmd =
            `S Manpage.s_description;
            `P
              "Expands a (designs x flows x rates x pipe-lengths) grid into \
-              batch jobs, runs them on a pool of forked workers with crash \
-              isolation and per-job timeouts, and reports every point plus \
+              batch jobs, runs them on supervised worker domains with crash \
+              isolation and per-job stall limits, and reports every point plus \
               the (pins, pipe length, functional units) Pareto frontier.  A \
               worker count of 1 and of N produce identical reports; a \
               persistent $(b,--cache) makes repeated sweeps incremental.";

@@ -8,7 +8,7 @@
 
    This regenerates the discussion of §5.3 and Table 6.4 in one table —
    expressed as batch jobs on the design-space exploration engine: the
-   points run on a pool of forked workers and the engine's Pareto module
+   points run on the engine's worker domains and its Pareto module
    names the undominated (pins, pipe length, FU) points.
 
    Run with:  dune exec examples/compare_approaches.exe *)

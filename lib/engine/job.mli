@@ -3,8 +3,8 @@
     A job names one synthesis invocation — a design, one of the five
     dissertation flows, an initiation rate and (for the schedule-first
     flow) a pipe length — in a {e canonical} textual encoding.  The
-    encoding is the job's identity everywhere: {!Pool} hands it to forked
-    workers, {!Cache} digests it into a content address, and the
+    encoding is the job's identity everywhere: {!Pool} keys its retry
+    strikes on it, {!Cache} digests it into a content address, and the
     [mcs-dse/1] report quotes it verbatim, so {!to_string}/{!of_string}
     must round-trip exactly (a qcheck property in [test/suite_engine.ml]
     pins this down). *)
@@ -77,11 +77,11 @@ val equal : t -> t -> bool
 
 val warm : t -> (string * string list) list
 val set_warm : t -> (string * string list) list -> unit
-(** Attach/read the warm-start payload.  {!Mcs_engine.Pool.run_local} and
-    the server's batch runner import it into the {!Mcs_ilp.Warm} registry
-    before executing the job and store the post-run export on the {e
-    next} job of the chain; the fork-based pool ignores it (bases do not
-    cross the process boundary). *)
+(** Attach/read the warm-start payload.  The server's batch runner
+    imports it into the {!Mcs_ilp.Warm} registry before executing the job
+    and stores the post-run export on the {e next} job of the batch;
+    {!Pool.run} runs single-entry batches and ignores it (its jobs still
+    share the process-wide registry). *)
 
 val hash : t -> string
 (** Short (12 hex chars) content digest of the canonical encoding; used

@@ -4,8 +4,8 @@
     environment-dependent data: the [mcs-dse/1] report must be
     byte-identical whichever worker count (or cache state) produced it,
     so timing lives with the {!Pool} and the caller, never here.  The
-    JSON codec below is both the pipe protocol between a forked worker
-    and the pool, and the on-disk format of {!Cache} entries. *)
+    JSON codec below is the on-disk format of {!Cache} entries and the
+    payload of daemon replies. *)
 
 type status =
   | Feasible

@@ -1,68 +1,31 @@
-(** Fork-based worker pool: fans a batch of {!Job}s out over child
-    processes and collects {!Outcome}s.
-
-    Every job runs in its own [Unix.fork]ed worker (even at [~jobs:1]),
-    which buys three things at once: crash isolation (a worker dying on
-    one design point — signal, uncaught exception, OOM — yields a
-    [Crashed] outcome for that point while the sweep continues),
-    enforceable per-job timeouts ([SIGKILL] on the deadline, a
-    [Timed_out] outcome), and a clean-slate solver state per point.
-    A worker reports by writing its outcome's single-line JSON to a pipe
-    and [_exit]ing; the parent never deserializes anything richer.
+(** Running jobs: {!exec} runs one {!Job} in the calling domain, and
+    {!run} fans a batch of jobs out over {!Supervisor} worker domains and
+    collects {!Outcome}s.
 
     Results come back in {e submission order}, regardless of completion
-    order or worker count: [run ~jobs:4] and [run ~jobs:1] return
-    identical lists for deterministic flows (a qcheck property in
+    order or worker count: [run ~jobs:4] and [run ~jobs:1] return the
+    same answers for deterministic flows (a qcheck property in
     [test/suite_engine.ml], and the byte-identical-report acceptance
-    check of the [dse] CLI).
+    check of the [dse] CLI).  Only the per-job [solver] effort stats may
+    differ: every domain shares the process-wide warm-start registry
+    ({!Mcs_ilp.Warm}), so how many bases a job certifies depends on what
+    ran before it.
 
-    With a {!Cache}, hits skip the fork entirely and fresh settled
+    With a {!Cache}, hits skip execution entirely and fresh settled
     results are stored back.  Counters in {!Mcs_obs.Metrics}:
-    [engine.pool.jobs], [engine.pool.forks], [engine.pool.crashes],
-    [engine.pool.timeouts], and [engine.jobs.executed] in whichever
-    process actually runs a flow.
-
-    The sweep bookkeeping — cache prefill, the single degraded retry,
-    store-back, submission-order assembly — is shared between {!run}
-    (fork mode) and {!run_local} (in-process mode, what the
-    [Mcs_server] daemon's worker domains use), so the two modes return
-    identical lists for deterministic flows by construction. *)
-
-(** Shared requeue bookkeeping: a mutex-guarded ledger of how many times
-    a job (by canonical string key) has taken down its executor.  One
-    policy for "how many failures before we stop retrying", shared
-    between the fork pool's degraded retry and the [Mcs_server]
-    supervisor's poison quarantine. *)
-module Strikes : sig
-  type t
-
-  val create : ?max_strikes:int -> unit -> t
-  (** [max_strikes] defaults to 2: a job that kills its executor twice is
-      poison. *)
-
-  val max_strikes : t -> int
-
-  val count : t -> string -> int
-  (** Strikes recorded so far against [key]; 0 when never seen. *)
-
-  val poisoned : t -> string -> bool
-  (** [count t key >= max_strikes] — the circuit is open for this key. *)
-
-  val record : t -> string -> [ `Retry of int | `Poisoned of int ]
-  (** Record one strike and return the new count: [`Retry n] while below
-      the limit, [`Poisoned n] at or above it. *)
-
-  val forgive : t -> string -> unit
-  (** Clear a key's strikes (e.g. after a clean completion). *)
-end
+    [engine.pool.jobs]; [engine.pool.crashes] and [engine.pool.timeouts],
+    the jobs reported [Crashed] or [Timed_out]; [engine.pool.retries],
+    the second attempts; and [engine.jobs.executed], the flows actually
+    run. *)
 
 val exec : ?policy:Mcs_flow.Flow.policy -> Job.t -> Outcome.t
-(** Run one job in the calling process.  Flow rejections ([Error],
+(** Run one job in the calling domain.  Flow rejections ([Error],
     [Invalid_argument], [Failure] — including an unknown design name)
     become [Infeasible]; any other exception becomes [Crashed].  Never
-    raises.  [policy] (e.g. a per-request deadline budget) overrides the
-    [MCS_DEADLINE_MS] environment channel; default is derived from the
-    environment. *)
+    raises.  [policy] (default {!Mcs_flow.Flow.default_policy}) bounds
+    the flow and its refinement — e.g. a per-request deadline budget.
+    The outcome's [solver] stats are this domain's share of the
+    certification counters across the run. *)
 
 val exec_diag :
   ?policy:Mcs_flow.Flow.policy -> Job.t -> Outcome.t * Mcs_flow.Diag.t option
@@ -77,41 +40,36 @@ val run :
   ?cache:Cache.t ->
   ?worker:(Job.t -> Outcome.t) ->
   ?retry:bool ->
-  ?strikes:Strikes.t ->
-  Job.t list ->
-  Outcome.t list
-(** [run ~jobs:n js] keeps at most [n] (default 1, floored at 1) workers
-    in flight.  [timeout] is per job, in seconds.  [worker] (default
-    {!exec}) is what each child runs — overridable so tests can simulate
-    worker death.
-
-    [retry] (default [false], so fork and cache counts stay exactly
-    reproducible) re-runs each [Crashed]/[Timed_out] job once in degraded
-    mode: the worker's [MCS_DEADLINE_MS] budget — or, absent one, the
-    pool [timeout] — is halved for the retry, so the flows' degradation
-    ladders get a real chance to land a (degraded) result inside the
-    original allowance.  Counter: [engine.pool.retries].
-
-    [strikes] (optional) makes the retry consult a shared {!Strikes}
-    ledger: each failure records a strike against the job's canonical
-    key, and a job already at the limit keeps its failed outcome instead
-    of being retried — the same circuit breaker the server supervisor
-    applies to jobs that kill worker domains. *)
-
-val run_local :
   ?policy:Mcs_flow.Flow.policy ->
-  ?cache:Cache.t ->
-  ?worker:(Job.t -> Outcome.t) ->
-  ?retry:bool ->
-  ?strikes:Strikes.t ->
   Job.t list ->
   Outcome.t list
-(** In-process twin of {!run}: same cache prefill / retry / store-back /
-    ordering bookkeeping, but jobs execute sequentially in the calling
-    process (or domain) — no fork, no [SIGKILL] timeout, so deadline
-    enforcement is the budget inside the flow.  [policy] feeds {!exec}
-    per job; on the degraded retry an explicit [policy]'s budget is
-    halved (the default env-derived policy picks up the halved
-    [MCS_DEADLINE_MS] automatically).  This is what the [Mcs_server]
-    daemon's worker domains run, and what in-process benchmarks use so
-    solver counters land in the caller's registry. *)
+(** [run ~jobs:n js] runs the jobs not answered by [cache] as one
+    single-entry batch each on the {!Supervisor}, at most [n] (default
+    1) at a time, and blocks until every job has an outcome.  The calling
+    thread drives {!Supervisor.check} and, between ticks, runs queued
+    jobs itself ({!Supervisor.help}) beside [n - 1] worker domains — so
+    [run ~jobs:1] spawns no domain at all.  With a [timeout] the caller
+    only supervises, over [n] worker domains.  The worker domains are
+    joined before [run] returns, except a stalled one, which is left
+    running and never joined.
+
+    [policy] is a template: each job runs under a fresh copy of its
+    budget ({!Mcs_resilience.Budget.restart}).  [worker] (default {!exec}
+    with that policy) is what each job runs — overridable so tests can
+    simulate failing workers.  A worker that raises yields a [Crashed]
+    outcome for its job; the other jobs carry on.
+
+    [timeout] (seconds; a non-positive one sets none) is the stall
+    limit: a job still running after that long is reported [Timed_out],
+    and its domain is abandoned so the sweep finishes promptly.  A worker domain that dies under a job with
+    no limit set reports the job [Crashed].
+
+    [retry] (default [false], so execution counts stay exactly
+    reproducible) gives each job one second attempt after a crash or a
+    stall, in degraded mode: the budget is halved
+    ({!Mcs_resilience.Budget.halve} on [policy], or on a deadline of
+    [timeout] when there is no policy), so the flows' degradation ladders
+    get a real chance to land a result inside the original allowance.
+    Both failures count as strikes in one {!Supervisor.Strikes} ledger;
+    a job at the limit keeps its failed outcome.  Counter:
+    [engine.pool.retries]. *)

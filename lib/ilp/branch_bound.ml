@@ -218,7 +218,7 @@ let solve_rational ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
               M.incr m_warm_restores;
               M.set_max g_depth_peak (float_of_int node.depth);
               let journaling = E.on () in
-              let pivots0 = if journaling then M.count m_pivots else 0 in
+              let pivots0 = if journaling then M.count_local m_pivots else 0 in
               if journaling then
                 E.emit ~cat:"bb" "node.open"
                   ~args:
@@ -239,7 +239,7 @@ let solve_rational ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
                       [
                         ("node", E.Int !nodes);
                         ("outcome", E.Str outcome);
-                        ("pivots", E.Int (M.count m_pivots - pivots0));
+                        ("pivots", E.Int (M.count_local m_pivots - pivots0));
                       ]
               in
               Simplex.Tab.restore tab node.snap;
@@ -452,7 +452,7 @@ let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
               M.incr m_warm_restores;
               M.set_max g_depth_peak (float_of_int node.fdepth);
               let journaling = E.on () in
-              let pivots0 = if journaling then M.count m_fpivots else 0 in
+              let pivots0 = if journaling then M.count_local m_fpivots else 0 in
               if journaling then
                 E.emit ~cat:"bb" "node.open"
                   ~args:
@@ -473,7 +473,7 @@ let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
                       [
                         ("node", E.Int !nodes);
                         ("outcome", E.Str outcome);
-                        ("pivots", E.Int (M.count m_fpivots - pivots0));
+                        ("pivots", E.Int (M.count_local m_fpivots - pivots0));
                       ]
               in
               Fsimplex.restore ft node.fsnap;

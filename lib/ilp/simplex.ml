@@ -361,12 +361,12 @@ module Tab = struct
 
   let of_problem ?budget p =
     M.incr m_solves;
-    let pivots0 = M.count m_pivots in
+    let pivots0 = M.count_local m_pivots in
     let r =
       try build ?budget p
       with Budget.Out_of_budget e -> `Exhausted e
     in
-    let batch = M.count m_pivots - pivots0 in
+    let batch = M.count_local m_pivots - pivots0 in
     M.observe m_pivots_per_solve batch;
     (* One journal event per solve, not per pivot: the batch size is the
        useful signal and a per-pivot event would flood the ring. *)

@@ -3,7 +3,7 @@
     Where {!Metrics} answers "how many" and {!Trace} answers "how long",
     the event bus answers "what happened, in what order": branch-and-bound
     node opens and closes, simplex pivot batches, force-directed passes,
-    Hungarian augments, cache hits, pool forks and joins, degradation-ladder
+    Hungarian augments, cache hits, pool retries, degradation-ladder
     steps, budget exhaustion.  Emission is off by default — a disabled
     [emit] is one ref read, so hot solver loops guard allocation of the
     argument list behind {!on} and pay nothing in normal runs.

@@ -37,8 +37,8 @@ let out = Format.err_formatter
 
 (* Structured context fields, printed [key=value] on every line between
    the level prefix and the message.  [Mcs_flow.Flow.run] binds the
-   active flow name here and the engine pool's forked workers bind their
-   job hash, so a worker's stderr remains attributable after a crash.
+   active flow name here and the engine pool binds each running job's
+   hash, so lines from jobs running side by side stay attributable.
    Later bindings of the same key shadow earlier ones. *)
 let context_key : (string * string) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])

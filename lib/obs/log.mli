@@ -25,8 +25,8 @@ val set_field : string -> string -> unit
 (** [set_field k v] binds a structured context field printed as [k=v] on
     every subsequent line (between the level prefix and the message).
     Rebinding a key replaces its value.  The flow driver binds
-    [flow=<name>]; forked pool workers bind [job=<hash>], so worker logs
-    stay attributable after a crash. *)
+    [flow=<name>]; the engine pool binds [job=<hash>] around each job, so
+    lines from jobs running side by side stay attributable. *)
 
 val unset_field : string -> unit
 

@@ -1,4 +1,7 @@
-type counter = { mutable c_count : int }
+(* A counter is a slot in per-domain shards (below), not a cell of its
+   own: every domain bumps only its own shard, so concurrent updates are
+   never lost and a domain can read back exactly its own share. *)
+type counter = { id : int }
 type gauge = { mutable g_value : float }
 
 type histogram = {
@@ -22,17 +25,51 @@ type instrument = C of counter | G of gauge | H of histogram
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-(* The registry itself is shared across domains (the server's worker pool
-   registers and reads instruments concurrently), so structural operations
-   — registration, snapshot, reset, hook management — take this lock.
-   The hot-path updates ([incr]/[set]/[observe]) stay lock-free: a lost
-   update under contention only skews a statistic, while a torn Hashtbl
-   would crash, and instrument records are never removed once added. *)
+(* The registry itself is shared across domains (worker domains register
+   and read instruments concurrently), so structural operations —
+   registration, snapshot, reset, the shard list — take this lock.  The
+   hot-path updates ([incr]/[set]/[observe]) stay lock-free.  Counters
+   are exact because each domain writes only its own shard; gauges and
+   histograms are single shared cells, where a lost update under
+   contention only skews a statistic. *)
 let registry_lock = Mutex.create ()
 
 let locked f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
+
+(* ---- per-domain counter shards ---- *)
+
+type shard = { mutable counts : int array }  (* indexed by counter id *)
+
+let n_counters = ref 0
+
+(* Shards of running domains, and the sum of every exited domain's shard:
+   a read merges both, so a domain's counts outlive it.  Both are only
+   touched under [registry_lock], and a shard moves from one to the other
+   in a single locked step, so a read never counts it twice or not at
+   all. *)
+let live_shards : shard list ref = ref []
+let retired = { counts = [||] }
+
+let add_into dst src =
+  let n = Array.length src.counts in
+  if Array.length dst.counts < n then begin
+    let a = Array.make n 0 in
+    Array.blit dst.counts 0 a 0 (Array.length dst.counts);
+    dst.counts <- a
+  end;
+  Array.iteri (fun i v -> dst.counts.(i) <- dst.counts.(i) + v) src.counts
+
+let shard_key =
+  Domain.DLS.new_key (fun () ->
+      let s = { counts = [||] } in
+      locked (fun () -> live_shards := s :: !live_shards);
+      Domain.at_exit (fun () ->
+          locked (fun () ->
+              add_into retired s;
+              live_shards := List.filter (fun s' -> s' != s) !live_shards));
+      s)
 
 let register name mk classify =
   locked (fun () ->
@@ -45,7 +82,10 @@ let register name mk classify =
 
 let counter name =
   register name
-    (fun () -> C { c_count = 0 })
+    (fun () ->
+      let id = !n_counters in
+      incr n_counters;
+      C { id })
     (function
       | C c -> c
       | G _ | H _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter"))
@@ -84,8 +124,30 @@ let histogram name ~buckets =
       | C _ | G _ ->
           invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram"))
 
-let incr ?(n = 1) c = c.c_count <- c.c_count + n
-let count c = c.c_count
+(* Only the owning domain ever writes its shard, so growing it (a counter
+   registered after the shard was made) is a plain copy; a concurrent
+   reader may still see the old array, i.e. a slightly stale count. *)
+let grow s id n =
+  let a = Array.make (max (id + 1) !n_counters) 0 in
+  Array.blit s.counts 0 a 0 (Array.length s.counts);
+  a.(id) <- n;
+  s.counts <- a
+
+let incr ?(n = 1) c =
+  let s = Domain.DLS.get shard_key in
+  let a = s.counts in
+  if c.id < Array.length a then a.(c.id) <- a.(c.id) + n
+  else grow s c.id n
+
+let shard_count s id = if id < Array.length s.counts then s.counts.(id) else 0
+
+let merged_count id =
+  List.fold_left
+    (fun acc s -> acc + shard_count s id)
+    (shard_count retired id) !live_shards
+
+let count c = locked (fun () -> merged_count c.id)
+let count_local c = shard_count (Domain.DLS.get shard_key) c.id
 let set g v = g.g_value <- v
 let set_max g v = if v > g.g_value then g.g_value <- v
 
@@ -96,25 +158,12 @@ let observe h v =
   h.h_sum <- h.h_sum + v;
   h.h_total <- h.h_total + 1
 
-(* Hooks run before any registry-wide read or reset, so modules that batch
-   updates locally (e.g. [Mcs_util.Ratio]'s reduction counter) can flush
-   their pending increments first. *)
-let pre_read_hooks : (unit -> unit) list ref = ref []
-let on_read f = locked (fun () -> pre_read_hooks := f :: !pre_read_hooks)
-
-(* Hooks run outside the registry lock: they typically register or bump
-   instruments themselves, and the lock is not reentrant. *)
-let run_pre_read_hooks () =
-  let hooks = locked (fun () -> !pre_read_hooks) in
-  List.iter (fun f -> f ()) hooks
-
 let snapshot () =
-  run_pre_read_hooks ();
   locked (fun () -> Hashtbl.fold
     (fun name i acc ->
       let v =
         match i with
-        | C c -> Counter c.c_count
+        | C c -> Counter (merged_count c.id)
         | G g -> Gauge g.g_value
         | H h ->
             Histogram
@@ -130,18 +179,20 @@ let snapshot () =
   |> List.sort compare
 
 let reset () =
-  run_pre_read_hooks ();
   locked (fun () ->
       Hashtbl.iter
         (fun _ i ->
           match i with
-          | C c -> c.c_count <- 0
+          | C _ -> ()
           | G g -> g.g_value <- 0.0
           | H h ->
               Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
               h.h_sum <- 0;
               h.h_total <- 0)
-        registry)
+        registry;
+      List.iter
+        (fun s -> Array.fill s.counts 0 (Array.length s.counts) 0)
+        (retired :: !live_shards))
 
 (* Prometheus-style estimate: locate the bucket containing the q-th
    observation in the cumulative distribution and interpolate linearly

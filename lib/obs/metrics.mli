@@ -6,7 +6,15 @@
     updated in place, so the hot-path cost of an update is a single
     unboxed mutation — no allocation, no formatting, no branching on an
     "enabled" flag.  Reading the registry ([snapshot], [pp_summary]) is
-    the only place any work happens. *)
+    the only place any work happens.
+
+    Counters are sharded per domain ([Domain.DLS]): each domain updates
+    only its own shard, lock-free, and a read merges every shard
+    (including those of domains that have exited), so counts stay exact
+    with any number of domains.  {!count_local} reads the calling
+    domain's shard alone — the exact share of work done on this domain,
+    which is how a job running on a worker domain measures its own
+    solver effort while other domains run other jobs. *)
 
 type counter
 (** Monotonically increasing event count. *)
@@ -32,7 +40,13 @@ val histogram : string -> buckets:int array -> histogram
     registration under the same name. *)
 
 val incr : ?n:int -> counter -> unit
+
 val count : counter -> int
+(** The total over every domain. *)
+
+val count_local : counter -> int
+(** The calling domain's share only: what this domain has counted since
+    it started (or since the last {!reset}). *)
 
 val set : gauge -> float -> unit
 val set_max : gauge -> float -> unit
@@ -51,12 +65,6 @@ type value =
       total : int;
     }
 
-val on_read : (unit -> unit) -> unit
-(** [on_read f] registers [f] to run before every registry-wide read or
-    {!reset}.  Modules that keep an instrument's updates in a local
-    accumulator to stay off a hot path (e.g. the rational-arithmetic
-    reduction counter) register a flush here so reports remain exact. *)
-
 val histogram_quantile : value -> float -> float option
 (** [histogram_quantile v q] estimates the [q]-quantile (0 ≤ q ≤ 1,
     clamped) of a [Histogram] value by linear interpolation inside the
@@ -66,12 +74,13 @@ val histogram_quantile : value -> float -> float option
     experiment rather than only sums. *)
 
 val snapshot : unit -> (string * value) list
-(** All registered instruments, sorted by name (pre-read hooks run
-    first). *)
+(** All registered instruments, sorted by name. *)
 
 val reset : unit -> unit
 (** Zero every registered instrument (registrations persist).  Run
-    reports call this before a flow so counts are per-run. *)
+    reports call this before a flow so counts are per-run.  Meant for
+    quiescent points: an increment racing a reset on another domain may
+    survive it. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Table of every instrument with a nonzero value. *)

@@ -56,15 +56,19 @@ let make ?deadline_ms ?nodes ?pivots ?passes ?augments () =
     tick = 0;
   }
 
-let halve t =
-  let half_int n = max 1 (n / 2) in
+let rescale ~ms ~int t =
   make
-    ?deadline_ms:(Option.map (fun ms -> max 1. (ms /. 2.)) t.allowance_ms)
-    ?nodes:(Option.map half_int t.nodes)
-    ?pivots:(Option.map half_int t.pivots)
-    ?passes:(Option.map half_int t.passes)
-    ?augments:(Option.map half_int t.augments)
+    ?deadline_ms:(Option.map ms t.allowance_ms)
+    ?nodes:(Option.map int t.nodes)
+    ?pivots:(Option.map int t.pivots)
+    ?passes:(Option.map int t.passes)
+    ?augments:(Option.map int t.augments)
     ()
+
+let restart = rescale ~ms:Fun.id ~int:Fun.id
+
+let halve =
+  rescale ~ms:(fun ms -> max 1. (ms /. 2.)) ~int:(fun n -> max 1 (n / 2))
 
 let remaining_ms t =
   match t.deadline with

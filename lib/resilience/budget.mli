@@ -40,6 +40,11 @@ val make :
 (** A budget whose deadline is [deadline_ms] from now.  Omitted resources
     are unlimited.  [make ()] is equivalent to {!unlimited}. *)
 
+val restart : t -> t
+(** A fresh budget with the same limits, nothing spent, and the deadline
+    restarted at the original allowance — one template budget handed to
+    each job of a sweep. *)
+
 val halve : t -> t
 (** A fresh budget with every limit halved (at least 1) and the deadline
     restarted at half the original allowance — the engine's retry

@@ -4,6 +4,7 @@ module Job = Mcs_engine.Job
 module Outcome = Mcs_engine.Outcome
 module Cache = Mcs_engine.Cache
 module Pool = Mcs_engine.Pool
+module Supervisor = Mcs_engine.Supervisor
 module F = Mcs_flow.Flow
 module P = Protocol
 
@@ -312,7 +313,7 @@ let create ?(config = default_config) () =
     match !tref with Some t -> t | None -> assert false
   in
   let sup =
-    Supervisor.create ~domains:config.domains ~stall_s:config.stall_s
+    Supervisor.create ~domains:(max 1 config.domains) ~stall_s:config.stall_s
       ~key:(fun (e : Coalesce.entry) -> e.Coalesce.key)
       ~exec:(fun entries i -> exec_entry (the_t ()) entries i)
       ~deliver:(fun comp -> push_completion (the_t ()) comp)

@@ -1,6 +1,6 @@
 (** The synthesis daemon: accept [mcs-req/1] submissions over a
     Unix-domain socket (and optionally loopback TCP), run them on a
-    {!Supervisor} of OCaml 5 worker domains through the same
+    {!Mcs_engine.Supervisor} of OCaml 5 worker domains through the same
     {!Mcs_engine.Pool} execution path the CLI uses, and stream
     [mcs-run/1] replies back.
 
@@ -15,7 +15,7 @@
     With a [cache_dir], worker domains share the content-addressed
     {!Mcs_engine.Cache} (safe: the cache is bucket-locked per entry).
 
-    Crash safety: the {!Supervisor} heartbeat-monitors the worker
+    Crash safety: the {!Mcs_engine.Supervisor} heartbeat-monitors the worker
     domains — a dead or stuck domain is respawned with backoff and its
     batch requeued, and a job that keeps killing domains is quarantined
     with a typed [poisoned] diagnostic (known-poison jobs are refused at
@@ -45,7 +45,7 @@
     [server.protocol_errors], [server.oversized], [server.reaped],
     [server.backpressure_drops], [server.wal.recovered],
     [server.wal.torn] (plus those of {!Admission}, {!Coalesce},
-    {!Supervisor} and {!Wal}). *)
+    {!Mcs_engine.Supervisor} and {!Wal}). *)
 
 type config = {
   socket_path : string;

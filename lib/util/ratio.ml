@@ -22,24 +22,11 @@ let mul_exact a b =
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 (* The reduction counter is the single hottest metric in the system (one
-   potential increment per rational operation inside every pivot), so it is
-   accumulated locally and flushed in batches; [Metrics.on_read] guarantees
-   reports still see an exact count. *)
+   potential increment per rational operation inside every pivot).  It
+   is a plain sharded counter: each domain bumps its own shard, so
+   domains solving side by side never contend for one cell. *)
 let m_reductions = Mcs_obs.Metrics.counter "ratio.reductions"
-let pending_reductions = ref 0
-let flush_batch = 1024
-
-let flush_metrics () =
-  if !pending_reductions > 0 then begin
-    Mcs_obs.Metrics.incr ~n:!pending_reductions m_reductions;
-    pending_reductions := 0
-  end
-
-let () = Mcs_obs.Metrics.on_read flush_metrics
-
-let count_reduction () =
-  incr pending_reductions;
-  if !pending_reductions >= flush_batch then flush_metrics ()
+let count_reduction () = Mcs_obs.Metrics.incr m_reductions
 
 let zero = { num = 0; den = 1 }
 let one = { num = 1; den = 1 }

@@ -15,12 +15,6 @@ val make : int -> int -> t
 (** [make num den] is the normalized rational [num/den].
     @raise Division_by_zero if [den = 0]. *)
 
-val flush_metrics : unit -> unit
-(** The [ratio.reductions] counter is batch-flushed off the hot path (and
-    automatically flushed before every {!Mcs_obs.Metrics.snapshot} /
-    [reset] via [Metrics.on_read]); call this only when reading the raw
-    counter directly with [Metrics.count]. *)
-
 val of_int : int -> t
 
 val zero : t

@@ -9,10 +9,7 @@
    accepted request is answered exactly once and the daemon outlives the
    schedule, a kill-and---recover round trip that loses zero admitted
    requests, oversized frames, slowloris reaping, stale-socket probing
-   and a signal storm over the main loop's EINTR handling.
-
-   This suite must run after Suite_server (whose fork-based tests need
-   to precede any domain spawn) and must never fork itself. *)
+   and a signal storm over the main loop's EINTR handling. *)
 
 module Job = Mcs_engine.Job
 module Pool = Mcs_engine.Pool
@@ -21,7 +18,7 @@ module Fault = Mcs_resilience.Fault
 module P = Mcs_server.Protocol
 module Server = Mcs_server.Server
 module Client = Mcs_server.Client
-module Supervisor = Mcs_server.Supervisor
+module Supervisor = Mcs_engine.Supervisor
 module Wal = Mcs_server.Wal
 
 let checkb = Alcotest.(check bool)
@@ -337,16 +334,16 @@ let prop_wal_prefix_truncation =
 (* --- the strikes ledger --- *)
 
 let test_strikes_ledger () =
-  let s = Pool.Strikes.create () in
-  checki "limit" 2 (Pool.Strikes.max_strikes s);
-  checki "unseen" 0 (Pool.Strikes.count s "j");
-  checkb "first strike retries" true (Pool.Strikes.record s "j" = `Retry 1);
-  checkb "not yet poisoned" false (Pool.Strikes.poisoned s "j");
-  checkb "second strike poisons" true (Pool.Strikes.record s "j" = `Poisoned 2);
-  checkb "poisoned" true (Pool.Strikes.poisoned s "j");
-  checkb "other keys unaffected" false (Pool.Strikes.poisoned s "k");
-  Pool.Strikes.forgive s "j";
-  checki "forgiven" 0 (Pool.Strikes.count s "j")
+  let s = Supervisor.Strikes.create () in
+  checki "limit" 2 (Supervisor.Strikes.max_strikes s);
+  checki "unseen" 0 (Supervisor.Strikes.count s "j");
+  checkb "first strike retries" true (Supervisor.Strikes.record s "j" = `Retry 1);
+  checkb "not yet poisoned" false (Supervisor.Strikes.poisoned s "j");
+  checkb "second strike poisons" true (Supervisor.Strikes.record s "j" = `Poisoned 2);
+  checkb "poisoned" true (Supervisor.Strikes.poisoned s "j");
+  checkb "other keys unaffected" false (Supervisor.Strikes.poisoned s "k");
+  Supervisor.Strikes.forgive s "j";
+  checki "forgiven" 0 (Supervisor.Strikes.count s "j")
 
 (* --- supervisor units (generic over plain strings) --- *)
 
@@ -400,7 +397,7 @@ let test_supervisor_stuck_domain () =
   Supervisor.check sup ~now:(Unix.gettimeofday ());
   checki "exactly one delivery" 1 (List.length (delivered ()));
   checkb "a clean completion forgives the strike" false
-    (Pool.Strikes.poisoned (Supervisor.strikes sup) "sleepy");
+    (Supervisor.Strikes.poisoned (Supervisor.strikes sup) "sleepy");
   Supervisor.shutdown sup
 
 let test_supervisor_poison () =
@@ -547,7 +544,7 @@ let test_kill_and_recover () =
   (* Daemon #1: a huge batching window keeps the admitted requests
      journaled but never dispatched — then we abandon it mid-flight
      (its domains leak until process exit), the in-process stand-in
-     for kill -9 that OCaml 5 allows once domains exist (no fork). *)
+     for kill -9. *)
   let sock1 = tmp_name "sock" in
   let cfg1 =
     {

@@ -1,6 +1,7 @@
 (* Tests for Mcs_engine: job codec round-trips, pool determinism across
-   worker counts, crash isolation, timeouts, cache behavior (hit /
-   version-bump miss / corruption-as-miss) and Pareto extraction. *)
+   worker counts, crash isolation, stall limits and retries, cache
+   behavior (hit / version-bump miss / corruption-as-miss), per-domain
+   solver stats and Pareto extraction. *)
 
 module Job = Mcs_engine.Job
 module Outcome = Mcs_engine.Outcome
@@ -156,7 +157,7 @@ let test_pool_order_independent_of_completion () =
 let test_pool_crash_isolation () =
   let jobs = List.init 3 (fun i -> job ~rate:(i + 1) ()) in
   let worker (j : Job.t) =
-    if j.Job.rate = 2 then Unix._exit 9 else synthetic_worker j
+    if j.Job.rate = 2 then failwith "worker blew up" else synthetic_worker j
   in
   let before = counter "engine.pool.crashes" in
   let results = Pool.run ~jobs:2 ~worker jobs in
@@ -166,12 +167,13 @@ let test_pool_crash_isolation () =
       checkb "first survives" true (Outcome.is_feasible a);
       (match b.Outcome.status with
       | Outcome.Crashed m ->
-          checkb "exit code reported" true
-            (m = "worker exited with code 9")
+          checks "exception reported" "Failure(\"worker blew up\")" m
       | _ -> Alcotest.fail "expected a crashed outcome");
       checkb "third survives" true (Outcome.is_feasible c)
   | _ -> Alcotest.fail "expected three results"
 
+(* The sleeper's domain is abandoned, not joined: the run returns at the
+   stall limit while it sleeps on. *)
 let test_pool_timeout () =
   let jobs = [ job ~rate:1 (); job ~rate:2 () ] in
   let worker (j : Job.t) =
@@ -188,6 +190,28 @@ let test_pool_timeout () =
       checkb "sleeper timed out" true (a.Outcome.status = Outcome.Timed_out);
       checkb "other survives" true (Outcome.is_feasible b)
   | _ -> Alcotest.fail "expected two results"
+
+(* A stall is a strike like a crash: with [retry] the stalled job runs
+   once more, and a second stall is final. *)
+let test_pool_retry_after_stall () =
+  let attempts = Atomic.make 0 in
+  let worker (j : Job.t) =
+    if Atomic.fetch_and_add attempts 1 = 0 then Unix.sleep 30;
+    synthetic_worker j
+  in
+  let retries = counter "engine.pool.retries" in
+  (match Pool.run ~timeout:0.2 ~retry:true ~worker [ job () ] with
+  | [ o ] -> checkb "second attempt answers" true (Outcome.is_feasible o)
+  | _ -> Alcotest.fail "expected one result");
+  checki "retry counted" (retries + 1) (counter "engine.pool.retries");
+  let worker j =
+    Unix.sleep 30;
+    synthetic_worker j
+  in
+  match Pool.run ~timeout:0.1 ~retry:true ~worker [ job () ] with
+  | [ o ] ->
+      checkb "two stalls time out" true (o.Outcome.status = Outcome.Timed_out)
+  | _ -> Alcotest.fail "expected one result"
 
 (* Real flows on random designs: one worker and four workers must agree
    exactly (result lists, not just sets). *)
@@ -212,6 +236,11 @@ let prop_pool_worker_count_invariant =
         ])
       (QCheck.Gen.int_range 0 1000)
   in
+  (* The answers, not the effort: the per-job [solver] stats depend on
+     the process-wide warm-start registry, which the first run fills. *)
+  let answer (o : Outcome.t) =
+    Outcome.to_string { o with Outcome.solver = None }
+  in
   QCheck.Test.make ~name:"Pool.run ~jobs:1 == Pool.run ~jobs:4" ~count:4
     (QCheck.make
        ~print:(fun js -> String.concat "; " (List.map Job.to_string js))
@@ -220,7 +249,7 @@ let prop_pool_worker_count_invariant =
       let seq = Pool.run ~jobs:1 jobs in
       let par = Pool.run ~jobs:4 jobs in
       List.length seq = List.length par
-      && List.for_all2 Outcome.equal seq par)
+      && List.for_all2 (fun a b -> answer a = answer b) seq par)
 
 (* --- Cache --- *)
 
@@ -273,19 +302,62 @@ let test_cache_skips_unsettled_outcomes () =
 
 let test_pool_uses_cache () =
   let c = Cache.open_dir ~version:"test-v1" (tmp_dir ()) in
-  let jobs = List.init 3 (fun i -> job ~rate:(i + 1) ()) in
-  let forks = counter "engine.pool.forks" in
-  let cold = Pool.run ~jobs:2 ~cache:c ~worker:synthetic_worker jobs in
-  checki "cold run forks every job" (forks + 3) (counter "engine.pool.forks");
-  let hits = counter "engine.cache.hits" in
-  let warm =
-    Pool.run ~jobs:2 ~cache:c
-      ~worker:(fun _ -> Alcotest.fail "warm run must not execute")
-      jobs
+  let jobs =
+    List.init 3 (fun i ->
+        job
+          ~design:
+            (Job.Random_simple { seed = 5; n_partitions = 2; ops_per_chip = 3 })
+          ~flow:Job.Ch3 ~rate:(i + 2) ())
   in
+  let executed = counter "engine.jobs.executed" in
+  let cold = Pool.run ~jobs:2 ~cache:c jobs in
+  checki "cold run executes every job" (executed + 3)
+    (counter "engine.jobs.executed");
+  let hits = counter "engine.cache.hits" in
+  let warm = Pool.run ~jobs:2 ~cache:c jobs in
   checki "warm run hits every job" (hits + 3) (counter "engine.cache.hits");
-  checki "warm run forks nothing" (forks + 3) (counter "engine.pool.forks");
+  checki "warm run executes nothing" (executed + 3)
+    (counter "engine.jobs.executed");
   checkb "warm equals cold" true (List.for_all2 Outcome.equal cold warm)
+
+(* --- Per-domain counters --- *)
+
+(* Two domains overlap behind a barrier: one runs a job, the other bumps
+   a certification counter the whole time.  The job's solver stats must
+   be its own (ch4 on ar-general certifies nothing), and the merged
+   counter must hold every increment of both. *)
+let test_solver_stats_per_domain () =
+  let c_ok = M.counter "ilp.certify.ok" in
+  let arrived = Atomic.make 0 and job_done = Atomic.make false in
+  let barrier () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do Domain.cpu_relax () done
+  in
+  let before = M.count c_ok in
+  let noise =
+    Domain.spawn (fun () ->
+        barrier ();
+        let n = ref 0 in
+        while not (Atomic.get job_done) do
+          M.incr c_ok;
+          incr n
+        done;
+        !n)
+  in
+  let runner =
+    Domain.spawn (fun () ->
+        barrier ();
+        let o = Pool.exec (job ~rate:3 ()) in
+        Atomic.set job_done true;
+        o)
+  in
+  let bumps = Domain.join noise in
+  let o = Domain.join runner in
+  checkb "the counter really moved during the job" true (bumps > 0);
+  (match o.Outcome.solver with
+  | Some s -> checki "job's own certifications only" 0 s.Outcome.certify_ok
+  | None -> Alcotest.fail "expected solver stats");
+  checki "merged count is exact" (before + bumps) (M.count c_ok)
 
 (* --- Pareto --- *)
 
@@ -344,6 +416,10 @@ let suite =
       Alcotest.test_case "pool crash isolation" `Quick
         test_pool_crash_isolation;
       Alcotest.test_case "pool per-job timeout" `Quick test_pool_timeout;
+      Alcotest.test_case "pool retries a stalled job once" `Quick
+        test_pool_retry_after_stall;
+      Alcotest.test_case "solver stats stay per domain" `Quick
+        test_solver_stats_per_domain;
       Alcotest.test_case "cache hit on identical job" `Quick
         test_cache_hit_on_identical_job;
       Alcotest.test_case "cache miss after version bump" `Quick

@@ -304,9 +304,9 @@ let test_retry_counts_misses_once () =
   let counter name = Mcs_obs.Metrics.(count (counter name)) in
   let misses0 = counter "engine.cache.misses" in
   let retries0 = counter "engine.pool.retries" in
-  (* Both workers crash on first fork; with ~retry both jobs re-run and
-     succeed.  The cache is consulted once per job, before any fork, so
-     the retry pass must not bump the miss counter again. *)
+  (* Both jobs crash on their first attempt; with ~retry both re-run and
+     succeed.  The cache is consulted once per job, before any attempt,
+     so the retry must not bump the miss counter again. *)
   Unix.putenv "MCS_FAULT" "crash-worker:2";
   let rs =
     Mcs_engine.Pool.run ~jobs:2 ~cache:c ~worker:synthetic_worker ~retry:true

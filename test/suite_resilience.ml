@@ -358,7 +358,7 @@ let test_pool_retry_after_crash_fault () =
             (match o1.Outcome.status with Outcome.Crashed _ -> true | _ -> false);
           checkb "second job fine" true (o2.Outcome.status = Outcome.Feasible)
       | _ -> Alcotest.fail "two outcomes expected");
-  (* With retry: the job is re-forked once and succeeds. *)
+  (* With retry: the job runs once more and succeeds. *)
   with_fault "crash-worker:1" (fun () ->
       let retries = counter "engine.pool.retries" in
       match Pool.run ~jobs:1 ~retry:true ~worker:synthetic_worker jobs with

@@ -2,8 +2,8 @@
    mcs-job/1 submissions), an in-process daemon exercised over its real
    Unix socket (typed deadline exhaustion, coalescing bit-identity,
    graceful shutdown draining, injected worker crashes), and the
-   domain-safety regressions the daemon relies on: two domains
-   hammering one cache key, and run_local/run mode equivalence. *)
+   domain-safety regression the daemon relies on: two domains hammering
+   one cache key. *)
 
 module Job = Mcs_engine.Job
 module Outcome = Mcs_engine.Outcome
@@ -59,9 +59,6 @@ let outcome ?(status = Outcome.Feasible) ?(pins = [ (0, 8); (1, 16) ])
     solver = None;
     refine = None;
   }
-
-let synthetic_worker (j : Job.t) =
-  outcome ~pins:[ (1, j.Job.rate) ] ~pipe_length:j.Job.rate ~fu_count:1 j
 
 (* Run a daemon on its own socket in a spawned domain; always drain it
    (if the test has not already) and join before returning. *)
@@ -251,23 +248,6 @@ let test_cache_domain_safety () =
   checki "no torn or missing reads" 0 (Atomic.get bad);
   checki "no entries went stale" stale0 (counter "engine.cache.stale")
 
-let test_run_local_matches_run () =
-  let jobs = List.init 4 (fun i -> rjob ~rate:(i + 1) 7) in
-  let forked = Pool.run ~jobs:2 ~worker:synthetic_worker jobs in
-  let local = Pool.run_local ~worker:synthetic_worker jobs in
-  checkb "run and run_local agree" true
-    (List.equal Outcome.equal forked local)
-
-let test_run_local_shares_cache_with_run () =
-  let cache = Cache.open_dir (tmp_dir ()) in
-  let jobs = List.init 3 (fun i -> rjob ~rate:(i + 1) 8) in
-  let hits0 = counter "engine.cache.hits" in
-  let cold = Pool.run_local ~cache ~worker:synthetic_worker jobs in
-  let warm = Pool.run ~jobs:2 ~cache ~worker:synthetic_worker jobs in
-  checkb "warm run equals cold" true (List.equal Outcome.equal cold warm);
-  checki "warm run was all cache hits" (hits0 + List.length jobs)
-    (counter "engine.cache.hits")
-
 (* --- the daemon over its socket --- *)
 
 let test_deadline_exhausted () =
@@ -376,13 +356,6 @@ let suite =
         test_protocol_corners;
       Alcotest.test_case "reply JSON round-trip" `Quick
         test_response_roundtrip;
-      (* The two fork-based mode-equivalence tests must precede every
-         test that spawns a domain: once a domain has ever existed the
-         OCaml 5 runtime refuses Unix.fork for the process's lifetime. *)
-      Alcotest.test_case "run_local matches forked run" `Quick
-        test_run_local_matches_run;
-      Alcotest.test_case "run_local shares a cache with run" `Quick
-        test_run_local_shares_cache_with_run;
       Alcotest.test_case "cache survives two domains on one key" `Quick
         test_cache_domain_safety;
       Alcotest.test_case "expired deadline gets typed exhausted" `Quick

@@ -19,6 +19,5 @@ let () =
       Suite_refine.suite;
       Suite_prof.suite;
       Suite_server.suite;
-      (* Last: chaos tests spawn domains freely and must never fork. *)
       Suite_chaos.suite;
     ]
