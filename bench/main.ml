@@ -638,10 +638,7 @@ let ilp_measure_float (d : Benchmarks.design) rate =
   and fail0 = Mcs_obs.Metrics.count m_certify_fail in
   Gc.full_major () (* same timing hygiene as [ilp_measure] *);
   let t0 = Unix.gettimeofday () in
-  let fl =
-    Mcs_ilp.Branch_bound.solve ~arith:Mcs_ilp.Fsimplex.Float_certified
-      ~integer p
-  in
+  let fl, _ = Mcs_ilp.Branch_bound.solve_float ~integer p in
   let fwall = Unix.gettimeofday () -. t0 in
   let ra = Mcs_ilp.Branch_bound.solve ~integer p in
   let agree =
@@ -935,6 +932,12 @@ let serve_numbers () =
     }
   in
   let p_start = all_pivots () in
+  (* The in-process daemon reports process-wide counters: count from
+     here, so a second session in the same bench run reads its own. *)
+  let counted name = Mcs_obs.Metrics.(count (counter name)) in
+  let hits0 = counted "engine.cache.hits"
+  and misses0 = counted "engine.cache.misses"
+  and coalesced0 = counted "server.coalesced" in
   Fun.protect ~finally:(fun () -> rm_rf cache_dir) @@ fun () ->
   with_daemon config (fun c ->
       let subs js =
@@ -974,9 +977,9 @@ let serve_numbers () =
         cold_pivots;
         warm_pivots =
           metric "simplex.pivots" + metric "fsimplex.pivots" - p_start;
-        cache_hits = stat "cache_hits";
-        cache_misses = stat "cache_misses";
-        coalesced = stat "coalesced";
+        cache_hits = stat "cache_hits" - hits0;
+        cache_misses = stat "cache_misses" - misses0;
+        coalesced = stat "coalesced" - coalesced0;
         warm_replied =
           List.length
             (List.filter

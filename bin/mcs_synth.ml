@@ -150,14 +150,14 @@ let fields_of (r : F.result) =
    scheduled control-step group.  The verdict compares the flow's shared
    buses against the dedicated-port model at the same schedule, and the
    solve drives the simplex and branch-and-bound counters for every flow. *)
-let ilp_cross_check d cons ~rate sched =
+let ilp_cross_check ~arith d cons ~rate sched =
   let cdfg = d.Benchmarks.cdfg in
   let fixed =
     List.map
       (fun op -> (op, Mcs_sched.Schedule.group sched op))
       (Cdfg.io_ops cdfg)
   in
-  match Simple_part.Pin_ilp.feasible cdfg cons ~rate ~fixed with
+  match Simple_part.Pin_ilp.feasible ~arith cdfg cons ~rate ~fixed with
   | ok ->
       Format.fprintf fmt
         "@.pin-allocation ILP cross-check (dedicated ports): %s@."
@@ -247,22 +247,23 @@ let counter_count name = Mcs_obs.Metrics.(count (counter name))
 
 module Fs = Mcs_ilp.Fsimplex
 
-(* --arith: solver arithmetic for every ILP of the run, exported through
-   the MCS_ARITH environment channel so it reaches every layer that
-   defaults to [Fsimplex.arith_of_env] — including every dse worker
-   domain.  Unknown values warn and keep the
-   default, like --trace and --log-level. *)
-let set_arith = function
-  | None -> ()
+(* --arith: solver arithmetic for every ILP of the run, carried to the
+   solvers on the flow policy.  Unset, it is the default policy's
+   (MCS_ARITH); unknown values warn and keep that default, like --trace
+   and --log-level. *)
+let arith_of_flag = function
+  | None -> F.default_policy.F.arith
   | Some s -> (
       match String.lowercase_ascii s with
-      | "float" | "float-certified" -> Unix.putenv "MCS_ARITH" "float"
-      | "rational" | "exact" -> Unix.putenv "MCS_ARITH" "rational"
-      | _ -> Mcs_obs.Log.warn "unknown --arith %S (float|rational)" s)
+      | "float" | "float-certified" -> Fs.Float_certified
+      | "rational" | "exact" -> Fs.Rational
+      | _ ->
+          Mcs_obs.Log.warn "unknown --arith %S (float|rational)" s;
+          F.default_policy.F.arith)
 
-let arith_json_fields () =
+let arith_json_fields arith =
   [
-    ("arith", J.Str (Fs.arith_to_string (Fs.arith_of_env ())));
+    ("arith", J.Str (Fs.arith_to_string arith));
     ("certify_ok", J.Int (counter_count "ilp.certify.ok"));
     ("certify_fail", J.Int (counter_count "ilp.certify.fail"));
     ("arith_fallbacks", J.Int (counter_count "bb.arith_fallbacks"));
@@ -270,7 +271,7 @@ let arith_json_fields () =
 
 (* One exit line making degraded-to-rational solves visible without
    --metrics; printed only when some simplex actually ran. *)
-let arith_exit_line () =
+let arith_exit_line arith =
   let ok = counter_count "ilp.certify.ok"
   and fail = counter_count "ilp.certify.fail"
   and fb = counter_count "bb.arith_fallbacks" in
@@ -282,14 +283,13 @@ let arith_exit_line () =
     Format.fprintf fmt
       "solver arithmetic: %s (%d certified, %d failed, %d rational \
        fallback%s)@."
-      (Fs.arith_to_string (Fs.arith_of_env ()))
-      ok fail fb
+      (Fs.arith_to_string arith) ok fail fb
       (if fb = 1 then "" else "s")
 
 let synth design flow rate pipe_length ports check strict deadline_ms
     no_fallback refine listing trace trace_out metrics json_file log_level
     arith =
-  set_arith arith;
+  let arith = arith_of_flag arith in
   (match log_level with
   | None -> ()
   | Some s -> (
@@ -363,6 +363,7 @@ let synth design flow rate pipe_length ports check strict deadline_ms
                       Mcs_resilience.Budget.make ~deadline_ms:ms ()
                   | Some _ | None -> Mcs_resilience.Budget.unlimited);
                 F.fallback = not no_fallback;
+                F.arith;
               }
             in
             let outcome = Mcs_check.run ~level ~policy flow_name spec in
@@ -424,11 +425,11 @@ let synth design flow rate pipe_length ports check strict deadline_ms
             in
             if metrics then begin
               (match outcome with
-              | Ok r -> ilp_cross_check d spec.F.cons ~rate r.F.schedule
+              | Ok r -> ilp_cross_check ~arith d spec.F.cons ~rate r.F.schedule
               | Error _ -> ());
               Format.fprintf fmt "@.%a" Mcs_obs.Metrics.pp_summary ()
             end;
-            arith_exit_line ();
+            arith_exit_line arith;
             let json_code =
               match json_file with
               | None -> 0
@@ -459,7 +460,7 @@ let synth design flow rate pipe_length ports check strict deadline_ms
                   in
                   let report =
                     J.run_report ~flow ~design ~rate ~status ~wall_s:wall
-                      ~result:(fields @ arith_json_fields () @ journal_fields)
+                      ~result:(fields @ arith_json_fields arith @ journal_fields)
                       ()
                   in
                   match J.write_file path report with
@@ -581,7 +582,7 @@ let grid_plan ?(refine = 0) designs_s flows_s rates_s pls_s =
 
 let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
     deadline_ms retry json_file trace_out arith =
-  set_arith arith;
+  let arith = arith_of_flag arith in
   match grid_plan ~refine designs_s flows_s rates_s pls_s with
   | Error m ->
       Format.eprintf "dse: %s@." m;
@@ -598,19 +599,19 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
       let cache = Option.map E_cache.open_dir cache_dir in
       (* A per-job budget: the pool gives each job a fresh copy. *)
       let policy =
-        match deadline_ms with
-        | Some ms when ms > 0. ->
-            Some
-              {
-                Mcs_flow.Flow.default_policy with
-                Mcs_flow.Flow.budget =
-                  Mcs_resilience.Budget.make ~deadline_ms:ms ();
-              }
-        | Some _ | None -> None
+        {
+          F.default_policy with
+          F.budget =
+            (match deadline_ms with
+            | Some ms when ms > 0. ->
+                Mcs_resilience.Budget.make ~deadline_ms:ms ()
+            | Some _ | None -> Mcs_resilience.Budget.unlimited);
+          F.arith;
+        }
       in
       let t0 = Unix.gettimeofday () in
       let outcomes =
-        E_pool.run ~jobs ?timeout ?cache ~retry ?policy joblist
+        E_pool.run ~jobs ?timeout ?cache ~retry ~policy joblist
       in
       let wall = Unix.gettimeofday () -. t0 in
       let front = E_pareto.frontier outcomes in
@@ -676,8 +677,7 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
       Format.fprintf fmt
         "solver arithmetic: %s (%d certified, %d failed, %d rational \
          fallback%s)@."
-        (Fs.arith_to_string (Fs.arith_of_env ()))
-        certify_ok certify_fail fallbacks
+        (Fs.arith_to_string arith) certify_ok certify_fail fallbacks
         (if fallbacks = 1 then "" else "s");
       if cache <> None then
         Format.fprintf fmt "cache: %d hits, %d misses, %d stale@."
@@ -718,8 +718,7 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
                             ("timeouts", J.Int (c "pool.timeouts"));
                             ("retries", J.Int (c "pool.retries"));
                             ( "arith",
-                              J.Str
-                                (Fs.arith_to_string (Fs.arith_of_env ())) );
+                              J.Str (Fs.arith_to_string arith) );
                             ("certify_ok", J.Int certify_ok);
                             ("certify_fail", J.Int certify_fail);
                             ("arith_fallbacks", J.Int fallbacks);
@@ -1020,8 +1019,9 @@ let arith_arg =
          ~doc:"ILP solver arithmetic: $(b,float) (double-precision simplex \
                with exact rational certification of every accepted basis, \
                the default) or $(b,rational) (exact arithmetic throughout, \
-               the certification oracle).  Exported as $(b,MCS_ARITH), so \
-               every dse worker uses it.")
+               the certification oracle).  Carried on the flow policy to every \
+               ILP of the run, in every dse job; unset, $(b,MCS_ARITH) \
+               decides.")
 
 let synth_term =
   Term.(

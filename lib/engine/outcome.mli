@@ -24,11 +24,12 @@ type check = Clean | Violations of int  (** count of error diagnostics *)
 (** How the job's ILP solves ran: the arithmetic mode
     ({!Mcs_ilp.Fsimplex.arith_to_string}) and the job's own share of the
     certification counters, so a degraded-to-rational solve is visible in
-    the [mcs-dse/1] report it lands in.  Deterministic for a fixed job
-    under the process-isolated pool (IEEE arithmetic plus fixed pivot
-    tie-breaks pin the pivot sequence); in-process warm-start chaining can shift the
-    counts with batch composition, so treat them as observability, never
-    as identity. *)
+    the [mcs-dse/1] report it lands in.  Counts are per job (each
+    domain's counter shard), and IEEE arithmetic plus fixed pivot
+    tie-breaks pin a solve's pivot sequence; but jobs share the
+    process-global {!Mcs_ilp.Warm} registry, so warm-start chaining can
+    shift the counts with job order and batch composition.  Treat them as
+    observability, never as identity. *)
 type solver = {
   arith : string;
   certify_ok : int;

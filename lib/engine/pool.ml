@@ -46,15 +46,14 @@ let c_certify_ok = M.counter "ilp.certify.ok"
 let c_certify_fail = M.counter "ilp.certify.fail"
 let c_arith_fallbacks = M.counter "bb.arith_fallbacks"
 
-let with_solver_stats f =
+let with_solver_stats ~arith f =
   let ok0 = M.count_local c_certify_ok
   and fail0 = M.count_local c_certify_fail
   and fb0 = M.count_local c_arith_fallbacks in
   let r = f () in
   let stats =
     {
-      Outcome.arith =
-        Mcs_ilp.Fsimplex.(arith_to_string (arith_of_env ()));
+      Outcome.arith = Mcs_ilp.Fsimplex.arith_to_string arith;
       certify_ok = M.count_local c_certify_ok - ok0;
       certify_fail = M.count_local c_certify_fail - fail0;
       arith_fallbacks = M.count_local c_arith_fallbacks - fb0;
@@ -86,7 +85,8 @@ let exec_diag_raw ?(policy = F.default_policy) (job : Job.t) =
       in
       let level = Mcs_check.level_of_env () in
       let run, solver =
-        with_solver_stats (fun () -> Mcs_check.run ~level ~policy flow spec)
+        with_solver_stats ~arith:policy.F.arith (fun () ->
+            Mcs_check.run ~level ~policy flow spec)
       in
       match run with
       | Error dg ->
@@ -172,23 +172,16 @@ let with_sweep_gc f =
 
 (* A degraded attempt (a retry) gets half the budget, so the flows'
    ladders have room to land a result inside the original allowance;
-   with no explicit policy the halved allowance is the stall limit's.
-   Every attempt gets a fresh budget of its own. *)
-let attempt_policy ?policy ~stall_s ~degraded () =
-  let fresh b =
-    if degraded then Mcs_resilience.Budget.halve b
-    else Mcs_resilience.Budget.restart b
-  in
-  match (policy, stall_s) with
-  | Some p, _ -> Some { p with F.budget = fresh p.F.budget }
-  | None, Some s when degraded ->
-      Some
-        {
-          F.default_policy with
-          F.budget =
-            fresh (Mcs_resilience.Budget.make ~deadline_ms:(s *. 1000.) ());
-        }
-  | None, _ -> None
+   when the policy sets no limit the halved allowance is the stall
+   limit's.  Every attempt gets a fresh budget of its own. *)
+let attempt_policy ?(policy = F.default_policy) ~stall_s ~degraded () =
+  let module B = Mcs_resilience.Budget in
+  match stall_s with
+  | Some s when degraded && not (B.is_limited policy.F.budget) ->
+      { policy with F.budget = B.halve (B.make ~deadline_ms:(s *. 1000.) ()) }
+  | _ ->
+      let fresh = if degraded then B.halve else B.restart in
+      { policy with F.budget = fresh policy.F.budget }
 
 (* Run the jobs [todo] (indices into [joblist]) on supervised domains,
    filling in [results].  One strike ledger covers both ways a job
@@ -221,7 +214,7 @@ let supervise ~jobs ~stall_s ?worker ~retry ?policy joblist results todo =
           match worker with
           | Some w -> w job
           | None ->
-              exec ?policy:(attempt_policy ?policy ~stall_s ~degraded ()) job
+              exec ~policy:(attempt_policy ?policy ~stall_s ~degraded ()) job
         with e -> settled job (Outcome.Crashed (Printexc.to_string e))
     in
     match o.Outcome.status with

@@ -67,9 +67,10 @@ val run :
     [retry] (default [false], so execution counts stay exactly
     reproducible) gives each job one second attempt after a crash or a
     stall, in degraded mode: the budget is halved
-    ({!Mcs_resilience.Budget.halve} on [policy], or on a deadline of
-    [timeout] when there is no policy), so the flows' degradation ladders
-    get a real chance to land a result inside the original allowance.
+    ({!Mcs_resilience.Budget.halve} on [policy]'s budget, or on a
+    deadline of [timeout] when that budget sets no limit), so the flows'
+    degradation ladders get a real chance to land a result inside the
+    original allowance.
     Both failures count as strikes in one {!Supervisor.Strikes} ledger;
     a job at the limit keeps its failed outcome.  Counter:
     [engine.pool.retries]. *)

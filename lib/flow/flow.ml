@@ -63,6 +63,7 @@ type policy = {
   fallback : bool;
   exact_first : bool;
   refine : int;
+  arith : Mcs_ilp.Fsimplex.arith;
 }
 
 let default_policy =
@@ -71,6 +72,7 @@ let default_policy =
     fallback = true;
     exact_first = false;
     refine = 0;
+    arith = Mcs_ilp.Fsimplex.arith_of_env ();
   }
 
 type result = {
@@ -219,7 +221,8 @@ let run_ch3 pass policy (s : spec) =
       ~artifact:(fun sch -> Artifact.Schedule sch)
       (fun () ->
         let io_hook =
-          SP.hook ~budget:policy.budget s.cdfg s.cons ~rate:s.rate
+          SP.hook ~budget:policy.budget ~arith:policy.arith s.cdfg s.cons
+            ~rate:s.rate
         in
         match
           LS.run ~budget:policy.budget s.cdfg s.mlib s.cons ~rate:s.rate
@@ -314,7 +317,8 @@ let run_ch4 pass policy (s : spec) =
         (fun () ->
           let phase = "ch4.connect-exact" in
           match
-            Mcs_connect.Ilp_gen.Ch4.solve ~budget s.cdfg s.cons ~rate:s.rate
+            Mcs_connect.Ilp_gen.Ch4.solve ~budget ~arith:policy.arith s.cdfg
+              s.cons ~rate:s.rate
               ~mode:s.mode ~max_buses:s.rate
           with
           | `Exhausted e ->

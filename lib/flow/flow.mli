@@ -46,11 +46,15 @@ type policy = {
           (default [0] = off; {!run} itself never refines — the cap is
           carried here so every layer that owns a policy, from the CLI to
           the engine to the server, shares one knob) *)
+  arith : Mcs_ilp.Fsimplex.arith;
+      (** arithmetic of every ILP the flow (and refinement) solves;
+          [--arith] on the CLI *)
 }
 
 val default_policy : policy
 (** Unlimited budget, [fallback = true], [exact_first = false],
-    [refine = 0] — with no budget and no injected fault nothing ever
+    [refine = 0], [arith] from {!Mcs_ilp.Fsimplex.arith_of_env} (read
+    once, at startup) — with no budget and no injected fault nothing ever
     exhausts, so the ladder never engages and results are bit-identical
     to a policy-less run. *)
 

@@ -12,12 +12,14 @@ let m_incumbents = M.counter "bb.incumbents"
 let m_node_limit = M.counter "bb.node_limit"
 let m_warm_restores = M.counter "bb.warm_restores"
 let m_child_unbounded = M.counter "bb.child_unbounded"
+let m_fallbacks = M.counter "bb.arith_fallbacks"
 let g_depth_peak = M.gauge "bb.depth_peak"
 
-(* Same instrument as Simplex's pivot counter (registration is
-   idempotent): node.close journal events report the pivots each dual
+(* Same instruments as the two simplexes' pivot counters (registration
+   is idempotent): node.close journal events report the pivots each dual
    reoptimization cost as the delta across the node. *)
 let m_pivots = M.counter "simplex.pivots"
+let m_fpivots = M.counter "fsimplex.pivots"
 
 type result =
   | Optimal of Simplex.solution
@@ -26,6 +28,21 @@ type result =
   | Node_limit
   | Limit_feasible of Simplex.solution
   | Exhausted of Budget.exhausted
+
+(* The result of a search, from its best integer point and why it
+   stopped.  An incumbent found before a node limit or a budget ran out
+   is genuine but unproven: it is handed back as [Limit_feasible]. *)
+let assemble incumbent exhausted hit_limit =
+  match (incumbent, exhausted, hit_limit) with
+  | Some sol, None, false -> Optimal sol
+  | Some sol, _, _ -> Limit_feasible sol
+  | None, Some e, _ -> Exhausted e
+  | None, None, true -> Node_limit
+  | None, None, false -> Infeasible
+
+let check_mask name ~integer (p : Simplex.problem) =
+  if Array.length integer <> p.n_vars then
+    invalid_arg (name ^ ": integer mask length mismatch")
 
 let first_fractional ~integer (sol : Simplex.solution) =
   let n = Array.length sol.x in
@@ -59,228 +76,6 @@ let most_fractional ~integer (sol : Simplex.solution) =
     sol.x;
   match !best with Some (i, _) -> Some i | None -> None
 
-let unit_row n i coef =
-  let row = Array.make n R.zero in
-  row.(i) <- coef;
-  row
-
-(* Max-heap on the parent's LP bound (best-bound node ordering); among
-   equal bounds the youngest node wins, so the search dives depth-first
-   within a bound plateau.  The tie-break matters: pure feasibility
-   models (zero objective, ubiquitous in the pin ILPs) make every bound
-   equal, and a FIFO tie-break would degenerate into breadth-first
-   search.  Either way the order — and therefore every pivot/node
-   counter — is deterministic. *)
-module Pq = struct
-  type ('k, 'a) t = {
-    cmp : 'k -> 'k -> int;
-    mutable heap : ('k * int * 'a) array;
-    mutable len : int;
-    mutable seq : int;
-  }
-
-  let create cmp = { cmp; heap = [||]; len = 0; seq = 0 }
-
-  let before q (b1, s1, _) (b2, s2, _) =
-    let c = q.cmp b1 b2 in
-    c > 0 || (c = 0 && s1 > s2)
-
-  let swap q i j =
-    let tmp = q.heap.(i) in
-    q.heap.(i) <- q.heap.(j);
-    q.heap.(j) <- tmp
-
-  let push q bound payload =
-    let e = (bound, q.seq, payload) in
-    q.seq <- q.seq + 1;
-    if q.len = Array.length q.heap then begin
-      let heap = Array.make (Stdlib.max 16 (2 * q.len)) e in
-      Array.blit q.heap 0 heap 0 q.len;
-      q.heap <- heap
-    end;
-    q.heap.(q.len) <- e;
-    q.len <- q.len + 1;
-    let i = ref (q.len - 1) in
-    let moving = ref true in
-    while !moving && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if before q q.heap.(!i) q.heap.(p) then begin
-        swap q !i p;
-        i := p
-      end
-      else moving := false
-    done
-
-  let pop q =
-    if q.len = 0 then None
-    else begin
-      let top = q.heap.(0) in
-      q.len <- q.len - 1;
-      if q.len > 0 then begin
-        q.heap.(0) <- q.heap.(q.len);
-        let i = ref 0 in
-        let moving = ref true in
-        while !moving do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let best = ref !i in
-          if l < q.len && before q q.heap.(l) q.heap.(!best) then best := l;
-          if r < q.len && before q q.heap.(r) q.heap.(!best) then best := r;
-          if !best <> !i then begin
-            swap q !i !best;
-            i := !best
-          end
-          else moving := false
-        done
-      end;
-      Some top
-    end
-end
-
-type node = {
-  snap : Simplex.Tab.snapshot; (* parent's optimal tableau *)
-  var : int; (* branching variable *)
-  dir : [ `Le of int | `Ge of int ]; (* the single bound this child adds *)
-  depth : int;
-}
-
-(* Warm-started branch & bound: the root LP is solved once; every child
-   restores its parent's optimal tableau, appends its one branching bound
-   with [Tab.add_row] and re-optimizes with the dual simplex, so a node
-   costs a few pivots instead of a two-phase solve from scratch.  A child
-   can never be unbounded — its LP is the parent's (bounded, optimal) LP
-   plus one constraint — so [Unbounded] is decided at the root alone. *)
-let solve_rational ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
-    (p : Simplex.problem) =
-  if Array.length integer <> p.n_vars then
-    invalid_arg "Branch_bound.solve: integer mask length mismatch";
-  M.incr m_solves;
-  M.incr m_nodes;
-  match Fault.exhaust_ilp () with
-  | Some e -> Exhausted e
-  | None -> (
-  match Simplex.Tab.of_problem ~budget p with
-  | `Infeasible ->
-      M.incr m_prune_infeasible;
-      Infeasible
-  | `Unbounded -> Unbounded
-  | `Exhausted e -> Exhausted e
-  | `Solved tab ->
-      let incumbent = ref None in
-      let better value =
-        match !incumbent with
-        | None -> true
-        | Some (v, _) -> R.compare value v > 0
-      in
-      let nodes = ref 1 in
-      let hit_limit = ref false in
-      let exhausted = ref None in
-      let q = Pq.create R.compare in
-      (* The LP optimum at a node: record it if integral, otherwise push
-         both children carrying a snapshot of this node's tableau. *)
-      let consider (sol : Simplex.solution) depth =
-        if not (better sol.value) then M.incr m_prune_bound
-        else
-          match most_fractional ~integer sol with
-          | None ->
-              M.incr m_incumbents;
-              if E.on () then
-                E.emit ~cat:"bb" "incumbent"
-                  ~args:[ ("node", E.Int !nodes); ("depth", E.Int depth) ];
-              incumbent := Some (sol.value, sol)
-          | Some i ->
-              let snap = Simplex.Tab.snapshot tab in
-              let f = R.floor sol.x.(i) in
-              (* Pushed ceil-then-floor so the LIFO tie-break dives into
-                 the floor branch first, like the cold reference. *)
-              Pq.push q sol.value
-                { snap; var = i; dir = `Ge (f + 1); depth = depth + 1 };
-              Pq.push q sol.value
-                { snap; var = i; dir = `Le f; depth = depth + 1 }
-      in
-      let rec drain () =
-        match Pq.pop q with
-        | None -> ()
-        | Some (bound, _, node) ->
-            if not (better bound) then begin
-              (* Best-bound order makes this final: once the best open
-                 bound cannot beat the incumbent, no open node can. *)
-              M.incr m_prune_bound;
-              drain ()
-            end
-            else if !nodes >= max_nodes then begin
-              hit_limit := true;
-              M.incr m_node_limit
-            end
-            else begin
-              incr nodes;
-              Budget.spend_node budget;
-              M.incr m_nodes;
-              M.incr m_warm_restores;
-              M.set_max g_depth_peak (float_of_int node.depth);
-              let journaling = E.on () in
-              let pivots0 = if journaling then M.count_local m_pivots else 0 in
-              if journaling then
-                E.emit ~cat:"bb" "node.open"
-                  ~args:
-                    [
-                      ("node", E.Int !nodes);
-                      ("depth", E.Int node.depth);
-                      ("var", E.Int node.var);
-                      ( "branch",
-                        E.Str
-                          (match node.dir with
-                          | `Le b -> Printf.sprintf "x%d<=%d" node.var b
-                          | `Ge b -> Printf.sprintf "x%d>=%d" node.var b) );
-                    ];
-              let close outcome =
-                if journaling then
-                  E.emit ~cat:"bb" "node.close"
-                    ~args:
-                      [
-                        ("node", E.Int !nodes);
-                        ("outcome", E.Str outcome);
-                        ("pivots", E.Int (M.count_local m_pivots - pivots0));
-                      ]
-              in
-              Simplex.Tab.restore tab node.snap;
-              let coefs = unit_row p.n_vars node.var R.one in
-              (match node.dir with
-              | `Le b -> Simplex.Tab.add_row tab coefs Simplex.Le (R.of_int b)
-              | `Ge b -> Simplex.Tab.add_row tab coefs Simplex.Ge (R.of_int b));
-              match Simplex.Tab.reoptimize_dual tab with
-              | `Infeasible ->
-                  M.incr m_prune_infeasible;
-                  close "infeasible";
-                  drain ()
-              | `Exhausted e ->
-                  close "exhausted";
-                  exhausted := Some e
-              | `Ok ->
-                  close "solved";
-                  consider (Simplex.Tab.solution tab) node.depth;
-                  drain ()
-            end
-      in
-      (try
-         consider (Simplex.Tab.solution tab) 0;
-         drain ()
-       with Budget.Out_of_budget e -> exhausted := Some e);
-      (match (!incumbent, !exhausted, !hit_limit) with
-      | Some (_, sol), None, false -> Optimal sol
-      | Some (_, sol), _, _ ->
-          (* Optimality is unproven (node limit or budget), but the
-             integer point is genuine: hand it to the caller instead of
-             discarding it. *)
-          Limit_feasible sol
-      | None, Some e, _ -> Exhausted e
-      | None, None, true -> Node_limit
-      | None, None, false -> Infeasible))
-
-(* --- Float-first search with exact certification ----------------------- *)
-
-let m_fallbacks = M.counter "bb.arith_fallbacks"
-let m_fpivots = M.counter "fsimplex.pivots"
-
 (* Branching needs only a rough picture of the LP optimum — every value
    that becomes an incumbent is re-derived exactly by certification — so a
    generous near-integrality window is safe: a wrong call either branches
@@ -305,241 +100,333 @@ let float_most_fractional ~integer (x : float array) =
     x;
   match !best with Some (i, fl, _) -> Some (i, fl) | None -> None
 
-type fnode = {
-  fsnap : Fsimplex.snapshot; (* parent's optimal float tableau *)
-  fvar : int;
-  fdir : [ `Le of int | `Ge of int ];
-  fdepth : int;
-  fchain : (int * [ `Le of int | `Ge of int ]) list;
-      (* every bound from the root to this node (own included), newest
-         first — the exact subproblem a certification failure re-solves
-         rationally *)
+type bound = int * [ `Le of int | `Ge of int ]
+
+(* The branching bound [var <= b] or [var >= b] as a constraint row. *)
+let bound_row n_vars ((var, dir) : bound) =
+  let coefs = Array.make n_vars R.zero in
+  coefs.(var) <- R.one;
+  match dir with
+  | `Le b -> (coefs, Simplex.Le, R.of_int b)
+  | `Ge b -> (coefs, Simplex.Ge, R.of_int b)
+
+(* One search over two LP backends.  ['k] is the backend's bound (the LP
+   objective value the queue orders by), ['s] its tableau snapshot.  The
+   backend reports on the LP optimum it holds; the search owns the queue,
+   the incumbent, the counters, the journal, the limits and the exact
+   fallback. *)
+type ('k, 's) lp = {
+  compare : 'k -> 'k -> int;
+  beats : 'k -> R.t -> bool;  (* can a bound still improve on a value? *)
+  examine :
+    ('k -> bool) ->
+    [ `Prune | `Branch of 'k * int * int | `Integral of Simplex.solution
+    | `Fallback ];
+      (* At the current optimum, given the bound test: prune, branch on
+         (var, floor), an integral point, or "answer uncertified". *)
+  snapshot : unit -> 's;  (* shared by both children *)
+  release : 's -> unit;  (* one child is done with the snapshot *)
+  restore : 's -> unit;
+  add_row : R.t array -> Simplex.rel -> R.t -> unit;
+  reoptimize :
+    unit -> [ `Ok | `Infeasible | `Exhausted of Budget.exhausted | `Fallback ];
+  basis : int list;  (* root basis, for the cross-grid warm registry *)
+  pivots : M.counter;
 }
 
-let bound_rows n_vars chain =
-  List.rev_map
-    (fun (var, dir) ->
-      match dir with
-      | `Le b -> (unit_row n_vars var R.one, Simplex.Le, R.of_int b)
-      | `Ge b -> (unit_row n_vars var R.one, Simplex.Ge, R.of_int b))
-    chain
+(* [chain] holds every bound from the root to this node, its own first:
+   the exact subproblem a fallback re-solves. *)
+type 's node = { snap : 's; chain : bound list; depth : int }
 
-(* Same warm node loop as [solve_rational], but every pivot is a float64
-   row operation on the {!Fsimplex} tableau and exact arithmetic only runs
-   at the leaves: candidate incumbents are certified (and re-derived) over
-   rationals, infeasibility prunes carry a Farkas certificate, and a node
-   whose certificate fails is re-solved — that node's subtree only, not
-   the whole search — by the exact warm solver.  Bound pruning needs no
-   certificate: every objective in this library has integer coefficients,
-   so a child is useful only when its LP bound clears incumbent + 1, and
-   the half-unit slack in [worth_float] absorbs any realistic roundoff.
+(* Warm-started best-bound branch & bound: the root LP is solved once;
+   every child restores its parent's optimal tableau, appends its one
+   branching bound and re-optimizes with the dual simplex, so a node costs
+   a few pivots instead of a two-phase solve from scratch.  A child can
+   never be unbounded — its LP is the parent's (bounded, optimal) LP plus
+   one constraint — so [Unbounded] is decided at the root alone.
 
-   Returns the result plus the root LP basis (structural columns) for the
-   cross-grid warm-start registry. *)
-let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
-    ?(warm = []) ~integer (p : Simplex.problem) =
-  if Array.length integer <> p.n_vars then
-    invalid_arg "Branch_bound.solve_float: integer mask length mismatch";
+   A backend answer it cannot vouch for ([`Fallback]) hands that node's
+   subtree — or, at the root, the whole problem — to the exact search. *)
+let rec search :
+    type k s.
+    budget:Budget.t ->
+    max_nodes:int ->
+    integer:bool array ->
+    Simplex.problem ->
+    (unit ->
+    [ `Solved of (k, s) lp
+    | `Infeasible
+    | `Unbounded
+    | `Exhausted of Budget.exhausted
+    | `Fallback ]) ->
+    result * int list =
+ fun ~budget ~max_nodes ~integer p root ->
   M.incr m_solves;
   M.incr m_nodes;
   match Fault.exhaust_ilp () with
   | Some e -> (Exhausted e, [])
-  | None -> (
-      let ft = Fsimplex.create ~budget p in
-      (* [dispose] recycles the tableau buffer even on an abandoned-queue
-         exit; unreleased snapshots just fall to the GC. *)
-      Fun.protect ~finally:(fun () -> Fsimplex.dispose ft) @@ fun () ->
+  | None ->
       let incumbent = ref None in
-      let better_exact v =
+      let better v =
         match !incumbent with
         | None -> true
-        | Some (v0, _) -> R.compare v v0 > 0
-      in
-      let worth_float fb =
-        match !incumbent with
-        | None -> true
-        | Some (v0, _) -> fb > R.to_float v0 +. 0.5
+        | Some (s : Simplex.solution) -> R.compare v s.value > 0
       in
       let nodes = ref 1 in
       let hit_limit = ref false in
       let exhausted = ref None in
-      let wholesale = ref None in
-      let root_basis = ref [] in
-      let q = Pq.create Float.compare in
-      let rational_subtree chain =
+      let settled = ref None in
+      let basis = ref [] in
+      let exact p = solve ~budget ~max_nodes ~integer p in
+      let exact_subtree chain =
         M.incr m_fallbacks;
-        let p' = { p with Simplex.rows = p.rows @ bound_rows p.n_vars chain } in
-        match solve_rational ~budget ~max_nodes ~integer p' with
-        | (Optimal s | Limit_feasible s) as r ->
-            (match r with Limit_feasible _ -> hit_limit := true | _ -> ());
-            if better_exact s.Simplex.value then begin
-              M.incr m_incumbents;
-              incumbent := Some (s.Simplex.value, s)
-            end
+        let adopt (s : Simplex.solution) =
+          if better s.value then begin
+            M.incr m_incumbents;
+            incumbent := Some s
+          end
+        in
+        match
+          exact
+            { p with rows = p.rows @ List.rev_map (bound_row p.n_vars) chain }
+        with
+        | Optimal s -> adopt s
+        | Limit_feasible s ->
+            hit_limit := true;
+            adopt s
         | Infeasible -> M.incr m_prune_infeasible
         | Unbounded -> M.incr m_child_unbounded
         | Node_limit -> hit_limit := true
         | Exhausted e -> exhausted := Some e
       in
-      let push_children fb i fl depth chain =
-        (* one use per child; the second [release] recycles the buffer *)
-        let snap = Fsimplex.snapshot ~uses:2 ft in
-        (* Ceil-then-floor, like the rational twin: the LIFO plateau
-           tie-break dives into the floor branch first. *)
-        Pq.push q fb
-          {
-            fsnap = snap;
-            fvar = i;
-            fdir = `Ge (fl + 1);
-            fdepth = depth + 1;
-            fchain = (i, `Ge (fl + 1)) :: chain;
-          };
-        Pq.push q fb
-          {
-            fsnap = snap;
-            fvar = i;
-            fdir = `Le fl;
-            fdepth = depth + 1;
-            fchain = (i, `Le fl) :: chain;
-          }
-      in
-      let consider depth chain =
-        let fb = Fsimplex.value_float ft in
-        if not (worth_float fb) then M.incr m_prune_bound
-        else
-          match float_most_fractional ~integer (Fsimplex.x_float ft) with
-          | Some (i, fl) -> push_children fb i fl depth chain
-          | None -> (
-              match Fsimplex.certify_optimal ft with
-              | None -> rational_subtree chain
-              | Some sol -> (
-                  match most_fractional ~integer sol with
-                  | Some i ->
-                      (* Float-integral but exactly fractional: branch on
-                         the exact value rather than trusting the float. *)
-                      push_children fb i (R.floor sol.Simplex.x.(i)) depth
-                        chain
-                  | None ->
-                      if better_exact sol.Simplex.value then begin
-                        M.incr m_incumbents;
-                        if E.on () then
-                          E.emit ~cat:"bb" "incumbent"
-                            ~args:
-                              [
-                                ("node", E.Int !nodes);
-                                ("depth", E.Int depth);
-                              ];
-                        incumbent := Some (sol.Simplex.value, sol)
-                      end))
-      in
-      let rec drain () =
-        match Pq.pop q with
-        | None -> ()
-        | Some (fbound, _, node) ->
-            if not (worth_float fbound) then begin
-              Fsimplex.release ft node.fsnap;
-              M.incr m_prune_bound;
-              drain ()
-            end
-            else if !nodes >= max_nodes then begin
-              hit_limit := true;
-              M.incr m_node_limit
-            end
-            else begin
-              incr nodes;
-              Budget.spend_node budget;
-              M.incr m_nodes;
-              M.incr m_warm_restores;
-              M.set_max g_depth_peak (float_of_int node.fdepth);
-              let journaling = E.on () in
-              let pivots0 = if journaling then M.count_local m_fpivots else 0 in
-              if journaling then
-                E.emit ~cat:"bb" "node.open"
-                  ~args:
-                    [
-                      ("node", E.Int !nodes);
-                      ("depth", E.Int node.fdepth);
-                      ("var", E.Int node.fvar);
-                      ( "branch",
-                        E.Str
-                          (match node.fdir with
-                          | `Le b -> Printf.sprintf "x%d<=%d" node.fvar b
-                          | `Ge b -> Printf.sprintf "x%d>=%d" node.fvar b) );
-                    ];
-              let close outcome =
+      let run lp =
+        let worth k =
+          match !incumbent with
+          | None -> true
+          | Some (s : Simplex.solution) -> lp.beats k s.value
+        in
+        (* Best-bound order: the highest parent LP bound first; among
+           equal bounds the youngest node wins, so the search dives
+           depth-first within a bound plateau.  The tie-break matters:
+           pure feasibility models (zero objective, ubiquitous in the pin
+           ILPs) make every bound equal, and a FIFO tie-break would
+           degenerate into breadth-first search.  The order is total, so
+           it — and every pivot/node counter — is deterministic. *)
+        let module Q = Set.Make (struct
+          type t = k * int * s node
+
+          let compare (b1, s1, _) (b2, s2, _) =
+            match lp.compare b2 b1 with 0 -> Int.compare s2 s1 | c -> c
+        end) in
+        let q = ref Q.empty and seq = ref 0 in
+        let push k node =
+          q := Q.add (k, !seq, node) !q;
+          incr seq
+        in
+        (* The LP optimum at a node: record it if integral, otherwise push
+           both children carrying a snapshot of this node's tableau. *)
+        let consider depth chain =
+          match lp.examine worth with
+          | `Prune -> M.incr m_prune_bound
+          | `Fallback -> exact_subtree chain
+          | `Integral (sol : Simplex.solution) ->
+              if better sol.value then begin
+                M.incr m_incumbents;
+                if E.on () then
+                  E.emit ~cat:"bb" "incumbent"
+                    ~args:[ ("node", E.Int !nodes); ("depth", E.Int depth) ];
+                incumbent := Some sol
+              end
+          | `Branch (k, i, fl) ->
+              let snap = lp.snapshot () in
+              (* Pushed ceil-then-floor so the LIFO tie-break dives into
+                 the floor branch first, like the cold reference. *)
+              List.iter
+                (fun dir ->
+                  push k { snap; chain = (i, dir) :: chain; depth = depth + 1 })
+                [ `Ge (fl + 1); `Le fl ]
+        in
+        let rec drain () =
+          match Q.min_elt_opt !q with
+          | None -> ()
+          | Some ((k, _, node) as top) ->
+              q := Q.remove top !q;
+              if not (worth k) then begin
+                (* Best-bound order makes this final: once the best open
+                   bound cannot beat the incumbent, no open node can. *)
+                lp.release node.snap;
+                M.incr m_prune_bound;
+                drain ()
+              end
+              else if !nodes >= max_nodes then begin
+                hit_limit := true;
+                M.incr m_node_limit
+              end
+              else begin
+                incr nodes;
+                Budget.spend_node budget;
+                M.incr m_nodes;
+                M.incr m_warm_restores;
+                M.set_max g_depth_peak (float_of_int node.depth);
+                let ((var, dir) as b) = List.hd node.chain in
+                let journaling = E.on () in
+                let pivots0 = if journaling then M.count_local lp.pivots else 0 in
                 if journaling then
-                  E.emit ~cat:"bb" "node.close"
+                  E.emit ~cat:"bb" "node.open"
                     ~args:
                       [
                         ("node", E.Int !nodes);
-                        ("outcome", E.Str outcome);
-                        ("pivots", E.Int (M.count_local m_fpivots - pivots0));
-                      ]
-              in
-              Fsimplex.restore ft node.fsnap;
-              Fsimplex.release ft node.fsnap;
-              let coefs = unit_row p.n_vars node.fvar R.one in
-              (match node.fdir with
-              | `Le b -> Fsimplex.add_row ft coefs Simplex.Le (R.of_int b)
-              | `Ge b -> Fsimplex.add_row ft coefs Simplex.Ge (R.of_int b));
-              (match Fsimplex.reoptimize_dual ft with
-              | `Infeasible r ->
-                  if Fsimplex.certify_infeasible ft r then begin
+                        ("depth", E.Int node.depth);
+                        ("var", E.Int var);
+                        ( "branch",
+                          E.Str
+                            (match dir with
+                            | `Le b -> Printf.sprintf "x%d<=%d" var b
+                            | `Ge b -> Printf.sprintf "x%d>=%d" var b) );
+                      ];
+                let close outcome =
+                  if journaling then
+                    E.emit ~cat:"bb" "node.close"
+                      ~args:
+                        [
+                          ("node", E.Int !nodes);
+                          ("outcome", E.Str outcome);
+                          ("pivots", E.Int (M.count_local lp.pivots - pivots0));
+                        ]
+                in
+                lp.restore node.snap;
+                lp.release node.snap;
+                let coefs, rel, rhs = bound_row p.n_vars b in
+                lp.add_row coefs rel rhs;
+                (match lp.reoptimize () with
+                | `Infeasible ->
                     M.incr m_prune_infeasible;
                     close "infeasible"
-                  end
-                  else begin
+                | `Fallback ->
                     close "fallback";
-                    rational_subtree node.fchain
-                  end
-              | `Stuck ->
-                  close "fallback";
-                  rational_subtree node.fchain
-              | `Ok ->
-                  close "solved";
-                  consider node.fdepth node.fchain);
-              if !exhausted = None then drain ()
-            end
+                    exact_subtree node.chain
+                | `Exhausted e ->
+                    close "exhausted";
+                    exhausted := Some e
+                | `Ok ->
+                    close "solved";
+                    consider node.depth node.chain);
+                if !exhausted = None then drain ()
+              end
+        in
+        consider 0 [];
+        drain ()
       in
       (try
-         match Fsimplex.solve_lp ~warm ft with
-         | `Infeasible r ->
-             if Fsimplex.certify_infeasible ft r then
-               M.incr m_prune_infeasible
-             else begin
-               M.incr m_fallbacks;
-               wholesale :=
-                 Some (solve_rational ~budget ~max_nodes ~integer p)
-             end
-         | `Unbounded | `Stuck ->
-             (* An unboundedness claim has no certificate in this scheme,
-                and a stalled root has no basis worth saving: hand the
-                whole problem to the exact path. *)
+         match root () with
+         | `Solved lp ->
+             basis := lp.basis;
+             run lp
+         | `Infeasible -> M.incr m_prune_infeasible
+         | `Unbounded -> settled := Some Unbounded
+         | `Exhausted e -> exhausted := Some e
+         | `Fallback ->
              M.incr m_fallbacks;
-             wholesale := Some (solve_rational ~budget ~max_nodes ~integer p)
-         | `Optimal ->
-             root_basis := Fsimplex.basic_structurals ft;
-             consider 0 [];
-             drain ()
+             settled := Some (exact p)
        with Budget.Out_of_budget e -> exhausted := Some e);
-      let res =
-        match !wholesale with
-        | Some r -> r
-        | None -> (
-            match (!incumbent, !exhausted, !hit_limit) with
-            | Some (_, sol), None, false -> Optimal sol
-            | Some (_, sol), _, _ -> Limit_feasible sol
-            | None, Some e, _ -> Exhausted e
-            | None, None, true -> Node_limit
-            | None, None, false -> Infeasible)
-      in
-      (res, !root_basis))
+      ( Option.value !settled
+          ~default:(assemble !incumbent !exhausted !hit_limit),
+        !basis )
 
-let solve ?budget ?max_nodes ?(arith = Fsimplex.Rational) ?warm ~integer p =
-  match arith with
-  | Fsimplex.Rational -> solve_rational ?budget ?max_nodes ~integer p
-  | Fsimplex.Float_certified ->
-      fst (solve_float ?budget ?max_nodes ?warm ~integer p)
+and solve ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
+    (p : Simplex.problem) =
+  check_mask "Branch_bound.solve" ~integer p;
+  fst
+  @@ search ~budget ~max_nodes ~integer p
+  @@ fun () ->
+  match Simplex.Tab.of_problem ~budget p with
+  | (`Infeasible | `Unbounded | `Exhausted _) as r -> r
+  | `Solved tab ->
+      `Solved
+        {
+          compare = R.compare;
+          beats = (fun k v -> R.compare k v > 0);
+          examine =
+            (fun worth ->
+              let sol = Simplex.Tab.solution tab in
+              if not (worth sol.value) then `Prune
+              else
+                match most_fractional ~integer sol with
+                | None -> `Integral sol
+                | Some i -> `Branch (sol.value, i, R.floor sol.x.(i)));
+          snapshot = (fun () -> Simplex.Tab.snapshot tab);
+          release = ignore;
+          restore = Simplex.Tab.restore tab;
+          add_row = Simplex.Tab.add_row tab;
+          reoptimize =
+            (fun () ->
+              (Simplex.Tab.reoptimize_dual tab
+                :> [ `Ok | `Infeasible | `Exhausted of Budget.exhausted | `Fallback ]));
+          basis = [];
+          pivots = m_pivots;
+        }
+
+(* The float backend: every pivot is a float64 row operation on the
+   {!Fsimplex} tableau and exact arithmetic only runs at the leaves:
+   candidate incumbents are certified (and re-derived) over rationals,
+   infeasibility prunes carry a Farkas certificate, and whatever fails
+   certification — or stalls — falls back to the exact search.  Bound
+   pruning needs no certificate: every objective in this library has
+   integer coefficients, so a child is useful only when its LP bound
+   clears incumbent + 1, and the half-unit slack in [beats] absorbs any
+   realistic roundoff.  An unboundedness claim has no certificate in this
+   scheme, and a stalled root has no basis worth saving: both hand the
+   whole problem to the exact search. *)
+let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
+    ?(warm = []) ~integer (p : Simplex.problem) =
+  check_mask "Branch_bound.solve_float" ~integer p;
+  let made = ref None in
+  (* [dispose] recycles the tableau buffer even on an abandoned-queue
+     exit; unreleased snapshots just fall to the GC. *)
+  Fun.protect ~finally:(fun () -> Option.iter Fsimplex.dispose !made)
+  @@ fun () ->
+  search ~budget ~max_nodes ~integer p @@ fun () ->
+  let ft = Fsimplex.create ~budget p in
+  made := Some ft;
+  match Fsimplex.solve_lp ~warm ft with
+  | `Infeasible r when Fsimplex.certify_infeasible ft r -> `Infeasible
+  | `Infeasible _ | `Unbounded | `Stuck -> `Fallback
+  | `Optimal ->
+      `Solved
+        {
+          compare = Float.compare;
+          beats = (fun fb v -> fb > R.to_float v +. 0.5);
+          examine =
+            (fun worth ->
+              let fb = Fsimplex.value_float ft in
+              if not (worth fb) then `Prune
+              else
+                match float_most_fractional ~integer (Fsimplex.x_float ft) with
+                | Some (i, fl) -> `Branch (fb, i, fl)
+                | None -> (
+                    match Fsimplex.certify_optimal ft with
+                    | None -> `Fallback
+                    | Some sol -> (
+                        match most_fractional ~integer sol with
+                        (* Float-integral but exactly fractional: branch on
+                           the exact value rather than trusting the float. *)
+                        | Some i -> `Branch (fb, i, R.floor sol.x.(i))
+                        | None -> `Integral sol)));
+          (* one use per child; the second [release] recycles the buffer *)
+          snapshot = (fun () -> Fsimplex.snapshot ~uses:2 ft);
+          release = Fsimplex.release ft;
+          restore = Fsimplex.restore ft;
+          add_row = Fsimplex.add_row ft;
+          reoptimize =
+            (fun () ->
+              match Fsimplex.reoptimize_dual ft with
+              | `Ok -> `Ok
+              | `Infeasible r when Fsimplex.certify_infeasible ft r ->
+                  `Infeasible
+              | `Infeasible _ | `Stuck -> `Fallback);
+          basis = Fsimplex.basic_structurals ft;
+          pivots = m_fpivots;
+        }
 
 (* Cold-start reference: re-solves the accumulated problem from scratch at
    every node (depth-first, first-fractional, floor branch first) — the
@@ -548,8 +435,7 @@ let solve ?budget ?max_nodes ?(arith = Fsimplex.Rational) ?warm ~integer p =
    and as an independent oracle for the property tests. *)
 let solve_cold ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
     (p : Simplex.problem) =
-  if Array.length integer <> p.n_vars then
-    invalid_arg "Branch_bound.solve_cold: integer mask length mismatch";
+  check_mask "Branch_bound.solve_cold" ~integer p;
   M.incr m_solves;
   let incumbent = ref None in
   let nodes = ref 0 in
@@ -558,7 +444,7 @@ let solve_cold ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
   let better value =
     match !incumbent with
     | None -> true
-    | Some (v, _) -> R.compare value v > 0
+    | Some (s : Simplex.solution) -> R.compare value s.value > 0
   in
   let root_unbounded = ref false in
   let rec explore extra depth =
@@ -593,17 +479,13 @@ let solve_cold ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
               match first_fractional ~integer sol with
               | None ->
                   M.incr m_incumbents;
-                  incumbent := Some (sol.value, sol)
+                  incumbent := Some sol
               | Some i ->
                   let f = R.floor sol.x.(i) in
-                  let le =
-                    (unit_row p.n_vars i R.one, Simplex.Le, R.of_int f)
-                  in
-                  let ge =
-                    (unit_row p.n_vars i R.one, Simplex.Ge, R.of_int (f + 1))
-                  in
-                  explore (le :: extra) (depth + 1);
-                  explore (ge :: extra) (depth + 1)
+                  explore (bound_row p.n_vars (i, `Le f) :: extra) (depth + 1);
+                  explore
+                    (bound_row p.n_vars (i, `Ge (f + 1)) :: extra)
+                    (depth + 1)
             end
     end
   in
@@ -613,20 +495,4 @@ let solve_cold ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
       try explore [] 0
       with Budget.Out_of_budget e -> exhausted := Some e));
   if !root_unbounded then Unbounded
-  else
-    match (!incumbent, !exhausted, !hit_limit) with
-    | Some (_, sol), None, false -> Optimal sol
-    | Some (_, sol), _, _ -> Limit_feasible sol
-    | None, Some e, _ -> Exhausted e
-    | None, None, true -> Node_limit
-    | None, None, false -> Infeasible
-
-let feasible ?budget ?max_nodes ?arith ?warm ~integer p =
-  let p =
-    { p with Simplex.objective = Array.make p.Simplex.n_vars R.zero }
-  in
-  match solve ?budget ?max_nodes ?arith ?warm ~integer p with
-  | Optimal _ | Limit_feasible _ -> Some true
-  | Infeasible -> Some false
-  | Unbounded -> Some true
-  | Node_limit | Exhausted _ -> None
+  else assemble !incumbent !exhausted !hit_limit

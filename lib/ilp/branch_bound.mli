@@ -1,19 +1,25 @@
-(** Branch-and-bound (M)ILP solver over the exact-rational simplex.
+(** Branch-and-bound (M)ILP solver: one warm-started best-bound search
+    over two LP backends.
 
-    Serves as the reference exact solver for the interchip-connection
-    formulations of Chapters 4 and 6 (the dissertation submitted those to
-    Bozo / Lindo) and cross-checks the Gomory path in the test suite.
+    Serves as the exact solver for the pin ILP of Chapter 3 and the
+    interchip-connection formulations of Chapters 4 and 6 (the
+    dissertation submitted those to Bozo / Lindo), and cross-checks the
+    Gomory path in the test suite.
 
-    The default {!solve} is {e warm-started}: the root LP relaxation is
-    solved once with the two-phase primal simplex, and every search node
-    thereafter restores its parent's optimal tableau
-    ({!Simplex.Tab.snapshot} / [restore]), appends its single branching
-    bound with {!Simplex.Tab.add_row} and re-optimizes with the dual
-    simplex — a few pivots per node instead of a from-scratch re-solve.
-    Nodes are explored in best-bound order and branch on the
+    The search is {e warm-started}: the root LP relaxation is solved
+    once, and every search node thereafter restores its parent's optimal
+    tableau, appends its single branching bound and re-optimizes with the
+    dual simplex — a few pivots per node instead of a from-scratch
+    re-solve.  Nodes are explored in best-bound order and branch on the
     most-fractional integer variable.  Because a child's LP is its
     (bounded, optimal) parent's LP plus one constraint, children can never
-    be unbounded: [Unbounded] is decided at the root alone. *)
+    be unbounded: [Unbounded] is decided at the root alone.
+
+    The node loop is written once.  {!solve} runs it on the exact
+    {!Simplex.Tab} tableau; {!solve_float} runs it on the float64
+    {!Fsimplex} tableau, whose answers are certified exactly, and hands
+    any answer that fails certification to {!solve}.  Choosing between
+    them is {!Model.solve}'s job. *)
 
 type result =
   | Optimal of Simplex.solution
@@ -33,24 +39,15 @@ type result =
 val solve :
   ?budget:Mcs_resilience.Budget.t ->
   ?max_nodes:int ->
-  ?arith:Fsimplex.arith ->
-  ?warm:int list ->
   integer:bool array ->
   Simplex.problem ->
   result
 (** [solve ~integer p] maximizes [p]'s objective with variables [i] such
-    that [integer.(i)] constrained to integer values.  Warm-started
-    best-bound search (see the module description); [max_nodes] defaults
-    to [200_000].  [budget] (default unlimited) charges one node per
-    expanded search node and one pivot per simplex pivot across the whole
-    tree — float pivots included, so deadlines hold in both modes.
-
-    [arith] defaults to [Rational] {e at this layer} — the exact solver
-    is the oracle the test suite and the pivot budgets are written
-    against; {!Model.solve} and everything user-facing defaults to
-    {!Fsimplex.arith_of_env} instead.  With [Float_certified] this is
-    {!solve_float} (dropping the exported basis); [warm] only applies
-    there. *)
+    that [integer.(i)] constrained to integer values, in exact rational
+    arithmetic — the oracle the test suite and the pivot budgets are
+    written against.  [max_nodes] defaults to [200_000].  [budget]
+    (default unlimited) charges one node per expanded search node and one
+    pivot per simplex pivot across the whole tree. *)
 
 val solve_float :
   ?budget:Mcs_resilience.Budget.t ->
@@ -59,14 +56,17 @@ val solve_float :
   integer:bool array ->
   Simplex.problem ->
   result * int list
-(** Float-first search: the same warm node loop run on the {!Fsimplex}
+(** Float-first search: the same node loop run on the {!Fsimplex}
     float64 tableau, with exact rational arithmetic only at the leaves —
     candidate incumbents are re-derived and certified exactly
     ({!Fsimplex.certify_optimal}), infeasibility prunes carry a Farkas
     certificate, and a node whose certificate fails has {e its subtree
-    only} re-solved by the exact warm {!solve} (counted in
-    [bb.arith_fallbacks]).  Every solution that escapes is exact, so
-    results agree with {!solve} wherever both prove optimality.
+    only} re-solved by the exact {!solve} (counted in
+    [bb.arith_fallbacks]); so is the whole problem when the root LP is
+    unbounded, stalls, or its infeasibility is not certified.  Float
+    pivots charge [budget] too, so deadlines hold in both arithmetics.
+    Every solution that escapes is exact, so results agree with {!solve}
+    wherever both prove optimality.
 
     [warm] steers the root LP toward a neighboring grid point's basis
     (structural column indices, from the {!Warm} registry); the returned
@@ -86,16 +86,3 @@ val solve_cold :
     problem has several), at many times the pivot count — kept as the
     baseline for the pivot-budget regression test and the bench [ilp]
     experiment, and as an independent oracle for the property tests. *)
-
-val feasible :
-  ?budget:Mcs_resilience.Budget.t ->
-  ?max_nodes:int ->
-  ?arith:Fsimplex.arith ->
-  ?warm:int list ->
-  integer:bool array ->
-  Simplex.problem ->
-  bool option
-(** Pure integer-feasibility query (the objective is ignored).
-    [Some true] is also returned when the node budget ran out after an
-    integer point was already found ({!Limit_feasible}); [None] only when
-    the budget ran out with the question genuinely undecided. *)

@@ -26,10 +26,13 @@
     guarantee): pivot sequences — and therefore the [fsimplex.pivots]
     counter and the bench baselines — are deterministic. *)
 
-(** Solver arithmetic policy, threaded through {!Model}, {!Branch_bound},
-    [Pin_ilp] and [Ilp_gen].  [Float_certified] is the default
-    everywhere user-facing; [MCS_ARITH=rational] (or [--arith rational])
-    restores the pure exact path. *)
+(** Solver arithmetic.  {!Model.solve} picks the search by it
+    ({!Branch_bound.solve_float} or the exact {!Branch_bound.solve});
+    [Pin_ilp] and [Ilp_gen] pass it through, and a flow run takes it from
+    its policy ([Mcs_flow.Flow.policy.arith], set by [--arith]).
+    [Float_certified] is the default everywhere user-facing;
+    [MCS_ARITH=rational] (the default policy's source) or
+    [--arith rational] restores the pure exact path. *)
 type arith = Float_certified | Rational
 
 val arith_of_env : unit -> arith

@@ -13,8 +13,8 @@
     Names, not column indices: models at different grid points may lay
     out auxiliary variables differently, and an unknown name simply drops
     out of the preference list.  The registry is process-global and
-    mutex-protected, so jobs on the server's and the engine pool's worker
-    domains chain bases automatically; {!export_all}/{!import}
+    mutex-protected, so jobs on the {!Mcs_engine.Supervisor}'s domains
+    (a [dse] sweep's or the server's) chain bases automatically; {!export_all}/{!import}
     move the contents explicitly where a payload has to ride along (the
     engine's {!Mcs_engine.Job} warm payload between batch entries).
 

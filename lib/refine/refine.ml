@@ -97,7 +97,7 @@ let splice spec (r : F.result) sch' conn' =
    own communication hook.  Several deterministic priority perturbations
    per attempt — the §5.3 postponement trick — and the best objective
    wins. *)
-let resched_tail ~slice ~window spec (r : F.result) =
+let resched_tail ~slice ~arith ~window spec (r : F.result) =
   let cdfg = spec.F.cdfg and mlib = spec.F.mlib and cons = spec.F.cons in
   let rate = spec.F.rate in
   let sch = r.F.schedule in
@@ -116,7 +116,7 @@ let resched_tail ~slice ~window spec (r : F.result) =
   let try_once bias =
     match r.F.connection with
     | Artifact.Bundles _ -> (
-        let io_hook = SP.hook ~budget:slice cdfg cons ~rate in
+        let io_hook = SP.hook ~budget:slice ~arith cdfg cons ~rate in
         match
           LS.run ~budget:slice cdfg mlib cons ~rate ~io_hook ?priority_bias:bias
             ~min_cstep:floor ~fixed ()
@@ -278,7 +278,9 @@ let improve ?max_iters ?(policy = F.default_policy) (spec : F.spec)
                   in
                   tail_window := w;
                   ( Printf.sprintf "resched-tail:w%d" w,
-                    fun () -> resched_tail ~slice ~window:w spec !r )
+                    fun () ->
+                      resched_tail ~slice ~arith:policy.F.arith ~window:w spec
+                        !r )
             in
             let outcome =
               try attempt () with

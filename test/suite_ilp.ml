@@ -108,13 +108,16 @@ let test_bb_mixed_integer () =
       checkb "value 5/2" true (R.equal s.Simplex.value (R.make 5 2))
   | _ -> Alcotest.fail "bb failed"
 
+(* A pure feasibility model (zero objective): 2x = 1 has no integer
+   point, 2x = 2 has one. *)
 let test_bb_feasibility () =
   let p = lp 1 [ 0 ] [ ([ 2 ], Simplex.Eq, 1); ([ 1 ], Simplex.Le, 3) ] in
-  Alcotest.(check (option bool)) "infeasible" (Some false)
-    (Branch_bound.feasible ~integer:[| true |] p);
+  checkb "infeasible" true
+    (Branch_bound.solve ~integer:[| true |] p = Branch_bound.Infeasible);
   let q = lp 1 [ 0 ] [ ([ 2 ], Simplex.Eq, 2) ] in
-  Alcotest.(check (option bool)) "feasible" (Some true)
-    (Branch_bound.feasible ~integer:[| true |] q)
+  match Branch_bound.solve ~integer:[| true |] q with
+  | Branch_bound.Optimal s -> checkb "x = 1" true (R.equal s.Simplex.x.(0) R.one)
+  | _ -> Alcotest.fail "2x = 2 has the integer point x = 1"
 
 let test_snapshot_restore () =
   let p =
@@ -352,8 +355,7 @@ let prop_float_matches_rational =
   QCheck.Test.make ~name:"float-certified BB matches rational BB" ~count:150
     random_ilp_arb (fun p ->
       same_bb_result
-        (Branch_bound.solve ~arith:Fsimplex.Float_certified
-           ~integer:[| true; true |] p)
+        (fst (Branch_bound.solve_float ~integer:[| true; true |] p))
         (Branch_bound.solve ~integer:[| true; true |] p))
 
 (* Both arithmetic modes on the pin-allocation ILP of every paper
@@ -372,9 +374,7 @@ let test_arith_modes_agree_benchmarks () =
               ~rate ~fixed:[]
           in
           let p, integer = Model.to_problem m in
-          let fl =
-            Branch_bound.solve ~arith:Fsimplex.Float_certified ~integer p
-          in
+          let fl, _ = Branch_bound.solve_float ~integer p in
           let ra = Branch_bound.solve ~integer p in
           checkb
             (Printf.sprintf "%s rate %d: float and rational agree" name rate)
@@ -388,30 +388,31 @@ let test_arith_modes_agree_benchmarks () =
       ("subbus-demo", Mcs_cdfg.Benchmarks.subbus_demo);
     ]
 
-(* Whole ch3 flow under each arithmetic, strict checking: both must come
-   out checker-clean with the same schedule footprint. *)
+(* Whole ch3 flow under each arithmetic (a policy field), strict
+   checking: both must come out checker-clean with the same schedule
+   footprint, and each must have run its own arithmetic. *)
 let test_arith_modes_checker_clean () =
   let module F = Mcs_flow.Flow in
   let d = Mcs_cdfg.Benchmarks.ar_simple () in
-  let with_arith arith f =
-    let prev = Sys.getenv_opt "MCS_ARITH" in
-    Unix.putenv "MCS_ARITH" arith;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "MCS_ARITH" (Option.value prev ~default:""))
-      f
-  in
+  let certified = Obs.counter "ilp.certify.ok" in
   let run arith =
-    with_arith arith @@ fun () ->
     Warm.clear ();
+    let ok0 = Obs.count certified in
     let spec = F.spec_of_design ~flow:F.Ch3 d ~rate:2 in
-    match Mcs_check.run ~level:Mcs_flow.Pass.Strict F.Ch3 spec with
-    | Ok r -> r
+    match
+      Mcs_check.run ~level:Mcs_flow.Pass.Strict
+        ~policy:{ F.default_policy with F.arith } F.Ch3 spec
+    with
+    | Ok r -> (r, Obs.count certified - ok0)
     | Error dg ->
-        Alcotest.failf "ch3 under %s arithmetic failed: %s" arith
+        Alcotest.failf "ch3 under %s arithmetic failed: %s"
+          (Fsimplex.arith_to_string arith)
           (Mcs_flow.Diag.message dg)
   in
-  let a = run "float" and b = run "rational" in
+  let a, certified_float = run Fsimplex.Float_certified
+  and b, certified_rational = run Fsimplex.Rational in
+  checkb "float run certified its answers" true (certified_float > 0);
+  checki "rational run certified nothing" 0 certified_rational;
   checkb "pins equal across modes" true (a.F.pins = b.F.pins);
   checkb "pipe length equal across modes" true
     (a.F.pipe_length = b.F.pipe_length)
@@ -435,15 +436,30 @@ let test_certification_failure_falls_back () =
     }
   in
   let fail0 = Obs.count m_certify_fail and fb0 = Obs.count m_arith_fallbacks in
-  (match
-     Branch_bound.solve ~arith:Fsimplex.Float_certified ~integer:[| false |] p
-   with
-  | Branch_bound.Infeasible -> ()
+  (match Branch_bound.solve_float ~integer:[| false |] p with
+  | Branch_bound.Infeasible, _ -> ()
   | _ -> Alcotest.fail "ill-conditioned LP must still come out infeasible");
   checkb "certification failed at least once" true
     (Obs.count m_certify_fail > fail0);
   checkb "fell back to the rational path" true
     (Obs.count m_arith_fallbacks > fb0)
+
+(* No problem from [random_ilp_arb] is unbounded (every one is boxed), so
+   this drives the float search's root fallback directly: an unbounded
+   relaxation has no certificate, so the whole problem goes to the exact
+   search, which reports [Unbounded] and no basis. *)
+let test_float_root_unbounded_falls_back () =
+  let p = lp 2 [ 1; 1 ] [ ([ 1; -1 ], Simplex.Le, 3) ] in
+  let fb0 = Obs.count m_arith_fallbacks in
+  let r, basis = Branch_bound.solve_float ~integer:[| true; true |] p in
+  checkb "unbounded" true (r = Branch_bound.Unbounded);
+  checkb "no root basis" true (basis = []);
+  checki "one arith fallback" 1 (Obs.count m_arith_fallbacks - fb0)
+
+(* Every record of the golden fixture: the three searches over seeded
+   random ILPs (node limits, pivot budgets, unbounded relaxations), the
+   ill-conditioned fallback LP and the paper pin ILPs. *)
+let test_golden_ilp () = Golden_ilp.check ()
 
 (* Float pivots charge the same Budget pivot axis as rational ones, so a
    deadline holds whichever arithmetic runs. *)
@@ -456,9 +472,7 @@ let test_float_pivots_budgeted () =
   in
   let p, integer = Model.to_problem m in
   let budget = Mcs_resilience.Budget.make ~pivots:5 () in
-  match
-    Branch_bound.solve ~budget ~arith:Fsimplex.Float_certified ~integer p
-  with
+  match fst (Branch_bound.solve_float ~budget ~integer p) with
   | Branch_bound.Exhausted e ->
       checkb "the pivot axis was the one exhausted" true
         (e.Mcs_resilience.Budget.resource = Mcs_resilience.Budget.Pivots)
@@ -632,6 +646,9 @@ let suite =
         test_certification_failure_falls_back;
       Alcotest.test_case "float pivots charge the budget" `Quick
         test_float_pivots_budgeted;
+      Alcotest.test_case "float root unbounded falls back" `Quick
+        test_float_root_unbounded_falls_back;
+      Alcotest.test_case "golden B&B records" `Quick test_golden_ilp;
       Alcotest.test_case "cross-grid warm chain pivots less" `Quick
         test_grid_warm_chain;
       Alcotest.test_case "model knapsack" `Quick test_model_knapsack;
