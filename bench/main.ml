@@ -1645,7 +1645,9 @@ let baseline_records ~reps () =
         (run_flow F.Ch5
            (Benchmarks.ar_general ())
            ~rate:4 ~pipe_length:9 ~mode:C.Bidir));
-  flow_case ~counters:[ "subbus.search_nodes" ] "ch6" "ar-general" 3 (fun () ->
+  flow_case
+    ~counters:[ "subbus.search_nodes"; "subbus.node_limit"; "subbus.refuted" ]
+    "ch6" "ar-general" 3 (fun () ->
       Result.map totals
         (run_flow F.Ch6 (Benchmarks.ar_general ()) ~rate:3 ~mode:C.Bidir));
   if want "ilp" then begin

@@ -13,6 +13,7 @@ let m_search_nodes = M.counter "subbus.search_nodes"
 let m_backtracks = M.counter "subbus.backtracks"
 let m_retired = M.counter "subbus.retired_buses"
 let m_node_limit = M.counter "subbus.node_limit"
+let m_refuted = M.counter "subbus.refuted"
 
 type sub = Lo | Hi | Whole
 
@@ -541,18 +542,57 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
       ignore (List.exists try_retire by_load)
     done
   in
+  (* Line-slot capacity bound, checked once before the first node.  In the
+     constructive phase a slice holds at most [slot_cap] distinct values (a
+     Whole occupant counts on both halves; a fresh bus holds one), and a
+     value on a port r lines wide uses at least its own width of them, so
+     the values touching p carry at most slot_cap x (p's port widths)
+     <= slot_cap x pin_cap p bits (compared by ceiling division, which
+     cannot overflow on a huge budget).  A value counts once, at its widest
+     operation touching p: [ops] lists the widest first. *)
+  let lines = max 1 slot_cap in
+  let carried_bits p =
+    incr stamp;
+    List.fold_left
+      (fun bits w ->
+        let v = op_value.(w) in
+        if (op_src.(w) = p || op_dst.(w) = p) && seen.(v) <> !stamp then begin
+          seen.(v) <- !stamp;
+          bits + op_width.(w)
+        end
+        else bits)
+      0 ops
+  in
+  let rec over_capacity p =
+    if p > n then None
+    else
+      let bits = carried_bits p in
+      if (bits + lines - 1) / lines > pin_cap.(p) then Some (p, bits)
+      else over_capacity (p + 1)
+  in
+  let no_connection =
+    Error
+      "Subbus.search: cannot place the I/O operations within the pin budgets"
+  in
   match
-    nodes := 0;
-    if assign_rec ops then begin
-      compact ();
-      Ok ()
-    end
-    else begin
-      Log.debug "[subbus] search failed after %d nodes" !nodes;
-      Error
-        "Subbus.search: cannot place the I/O operations within the pin \
-         budgets"
-    end
+    match over_capacity 0 with
+    | Some (p, bits) ->
+        M.incr m_refuted;
+        Log.debug
+          "[subbus] cap %d refuted: partition %d carries %d bits > %d x %d \
+           pins"
+          slot_cap p bits lines pin_cap.(p);
+        no_connection
+    | None ->
+        nodes := 0;
+        if assign_rec ops then begin
+          compact ();
+          Ok ()
+        end
+        else begin
+          Log.debug "[subbus] search failed after %d nodes" !nodes;
+          no_connection
+        end
   with
   | Error m -> Error m
   | Ok () ->

@@ -47,10 +47,22 @@ val search :
     assignment of each I/O operation to (bus, slice).  [budget] bounds the
     backtracking search; exhaustion (and the [exhaust-heuristic] fault)
     raises {!Mcs_resilience.Budget.Out_of_budget} so the caller's
-    degradation ladder can take over.  The search also stops after
-    200 000 nodes on its own; that cutoff returns [Error] like any failed
-    search (the caller's slot-cap sweep goes on) and counts in the
-    [subbus.node_limit] metric.  Every call counts in [subbus.attempts]. *)
+    degradation ladder can take over.
+
+    Before its first node the search checks a line-slot capacity bound:
+    a slice holds at most [slot_cap] distinct values (a [Whole] occupant
+    counts on both halves), and a value on a port uses at least its width
+    of the port's lines, so on every partition p the distinct values
+    touching p may carry at most [slot_cap] x [Constraints.pins cons p]
+    bits (each value once, at its widest operation touching p).  A cap
+    that breaks it on some partition is refuted in zero nodes: the call
+    returns the same [Error] as a failed search and counts in
+    [subbus.refuted].
+
+    The search also stops after 200 000 nodes on its own; that cutoff
+    returns [Error] like any failed search (the caller's slot-cap sweep
+    goes on) and counts in the [subbus.node_limit] metric.  Every call
+    counts in [subbus.attempts]. *)
 
 val schedule_over :
   ?budget:Mcs_resilience.Budget.t ->

@@ -526,6 +526,134 @@ let test_dot_export () =
   in
   checkb "recursive edges dashed" true (contains2 "style=dashed")
 
+(* The line-slot capacity lemma behind [Subbus.search]'s refutation, on a
+   returned bus structure: with L the largest distinct-value load on any
+   slice (a Whole occupant loading both halves), the values touching each
+   partition p carry at most L x (p's pins) bits, a value counting once at
+   its widest operation touching p.  Returns the partitions breaking it. *)
+let slot_capacity_violations cdfg (real : Subbus.real_bus list) =
+  let load (rb : Subbus.real_bus) half =
+    List.length
+      (List.sort_uniq String.compare
+         (List.filter_map
+            (fun (w, s) ->
+              if s = half || s = Subbus.Whole then Some (Cdfg.io_value cdfg w)
+              else None)
+            rb.carried))
+  in
+  let l =
+    List.fold_left
+      (fun m rb -> max m (max (load rb Subbus.Lo) (load rb Subbus.Hi)))
+      0 real
+  in
+  let widest = Hashtbl.create 64 in
+  List.iter
+    (fun w ->
+      let v = Cdfg.io_value cdfg w and width = Cdfg.io_width cdfg w in
+      List.iter
+        (fun p ->
+          let prev = Option.value ~default:0 (Hashtbl.find_opt widest (p, v)) in
+          Hashtbl.replace widest (p, v) (max prev width))
+        (List.sort_uniq compare [ Cdfg.io_src cdfg w; Cdfg.io_dst cdfg w ]))
+    (Cdfg.io_ops cdfg);
+  let pins p =
+    Mcs_util.Listx.sum
+      (fun (rb : Subbus.real_bus) ->
+        Option.value ~default:0 (List.assoc_opt p rb.ports))
+      real
+  in
+  List.filter
+    (fun p ->
+      let bits =
+        Hashtbl.fold (fun (q, _) w acc -> if q = p then acc + w else acc) widest 0
+      in
+      bits > l * pins p)
+    (Mcs_util.Listx.range 0 (Cdfg.n_partitions cdfg + 1))
+
+let test_slot_capacity_golden () =
+  List.iter
+    (fun (c : Golden_connect.case) ->
+      if c.kind = Golden_connect.Ch6 then
+        match
+          Subbus.search c.cdfg c.cons ~rate:c.rate ~slot_cap:c.cap ()
+        with
+        | Ok (real, _) ->
+            Alcotest.(check (list int))
+              (c.key ^ ": line-slot capacity") []
+              (slot_capacity_violations c.cdfg real)
+        | Error _ -> ())
+    (Golden_connect.cases ())
+
+(* Generated general and simple partitionings at rates 2-4, at every slot
+   cap, under budgets from generous down to 40% of a dedicated bus per
+   value. *)
+let prop_slot_capacity =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (seed, simple, rate, pct) ->
+          let name =
+            if simple then
+              Printf.sprintf "rsimple:%d:%d:%d" seed (2 + (seed mod 2))
+                (4 + (seed mod 3))
+            else
+              Printf.sprintf "random:%d:%d:%d" seed (2 + (seed mod 3))
+                (12 + (4 * (seed mod 4)))
+          in
+          (name, rate, pct))
+        (quad (int_bound 1_000_000) bool (int_range 2 4) (int_range 40 100)))
+  in
+  QCheck.Test.make ~name:"Ch. 6 searches obey the line-slot capacity bound"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (name, rate, pct) ->
+         Printf.sprintf "%s rate %d budget %d%%" name rate pct)
+       gen)
+    (fun (name, rate, pct) ->
+      let d = Golden_connect.resolve name in
+      let cdfg = d.Benchmarks.cdfg in
+      let cons =
+        Golden_connect.tight_constraints cdfg
+          (Benchmarks.constraints_for_bidir d ~rate)
+          ~pct
+      in
+      List.for_all
+        (fun cap ->
+          match Subbus.search cdfg cons ~rate ~slot_cap:cap () with
+          | Ok (real, _) -> slot_capacity_violations cdfg real = []
+          | Error _ -> true)
+        (Mcs_util.Listx.range 1 (rate + 1)))
+
+(* ar-general at rate 3: caps 2 and 1 break the bound on partitions 0 and
+   1 (260 bits of distinct values against 2 x 116 pins, 208 against
+   2 x 100), so the search refutes them before its first node; cap 3
+   searches as before. *)
+let test_ch6_refutes_infeasible_caps () =
+  let d = Benchmarks.ar_general () in
+  let cdfg = d.Benchmarks.cdfg in
+  let cons = Benchmarks.constraints_for_bidir d ~rate:3 in
+  let nodes = Mcs_obs.Metrics.counter "subbus.search_nodes"
+  and refuted = Mcs_obs.Metrics.counter "subbus.refuted" in
+  List.iter
+    (fun cap ->
+      let n0 = Mcs_obs.Metrics.count nodes
+      and r0 = Mcs_obs.Metrics.count refuted in
+      checkb "no connection" true
+        (Result.is_error (Subbus.search cdfg cons ~rate:3 ~slot_cap:cap ()));
+      checki "no search node" 0 (Mcs_obs.Metrics.count nodes - n0);
+      checki "refuted once" 1 (Mcs_obs.Metrics.count refuted - r0))
+    [ 2; 1 ];
+  let key = "ar-general ch6 r3 cap3" in
+  let case =
+    List.find
+      (fun (c : Golden_connect.case) -> String.equal c.key key)
+      (Golden_connect.paper_cases ())
+  in
+  Alcotest.(check string)
+    "cap 3 keeps its golden record"
+    (List.assoc key (Golden_connect.load "golden_connect.txt"))
+    (Golden_connect.record case)
+
 (* Assignment, bus structure, node and backtrack counts of every Ch. 6
    search in the golden fixture (paper points and generated designs). *)
 let test_golden_subbus () =
@@ -539,6 +667,11 @@ let extra_tests =
     Alcotest.test_case "Improve beats greedy at rate 3" `Slow test_improve_finds_shorter_pipe;
     Alcotest.test_case "Graphviz export" `Quick test_dot_export;
     Alcotest.test_case "golden Ch. 6 search records" `Quick test_golden_subbus;
+    Alcotest.test_case "Ch. 6 refutes infeasible slot caps" `Quick
+      test_ch6_refutes_infeasible_caps;
+    Alcotest.test_case "golden Ch. 6 searches obey the line-slot bound" `Quick
+      test_slot_capacity_golden;
+    QCheck_alcotest.to_alcotest prop_slot_capacity;
   ]
 
 let suite = ("core", base_tests @ extra_tests)
