@@ -118,8 +118,10 @@ let cache =
 let window_ms =
   Arg.(value & opt float Server.default_config.Server.window_ms
        & info [ "window-ms" ] ~docv:"MS"
-           ~doc:"Batching window: how long a fresh job waits for \
-                 same-design company before dispatch.")
+           ~doc:"Batching window: while every worker domain is busy, \
+                 how long a fresh job waits for same-design company \
+                 before dispatch.  An idle domain takes a job at once, \
+                 and a settled cache hit is answered at admission.")
 
 let max_queue =
   Arg.(value & opt int Server.default_config.Server.max_queue

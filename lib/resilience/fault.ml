@@ -8,6 +8,7 @@ type t =
   | Kill_domain
   | Stall_conn
   | Wal_torn
+  | Hold_dispatch
 
 let to_string = function
   | Exhaust_ilp -> "exhaust-ilp"
@@ -19,6 +20,7 @@ let to_string = function
   | Kill_domain -> "kill-domain"
   | Stall_conn -> "stall-conn"
   | Wal_torn -> "wal-torn"
+  | Hold_dispatch -> "hold-dispatch"
 
 (* An exhaust mode may carry an armed count ("exhaust-ilp:2" fires on the
    first two injection-point hits, then disarms); [None] = every hit while
@@ -60,6 +62,10 @@ let parse_one s =
       | r -> r)
   | "wal-torn" -> (
       match armed Wal_torn with
+      | Ok (f, None) -> Ok (f, Some 1)
+      | r -> r)
+  | "hold-dispatch" -> (
+      match armed Hold_dispatch with
       | Ok (f, None) -> Ok (f, Some 1)
       | r -> r)
   | "crash-worker" -> (
@@ -143,3 +149,4 @@ let corrupt_cache () = has Corrupt_cache
 let kill_domain () = fire Kill_domain
 let stall_conn () = fire Stall_conn
 let wal_torn () = fire Wal_torn
+let hold_dispatch () = fire Hold_dispatch

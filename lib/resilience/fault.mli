@@ -30,8 +30,13 @@
       silent (their reads stall), exercising idle reaping.
     - [wal-torn] — the next WAL append writes a torn (checksum-invalid)
       record, exercising recovery's torn-tail handling.
+    - [hold-dispatch:N] — the next [N] servers created hold every
+      admitted request undispatched for their whole life (only a
+      shutdown's forced flush drains them), so a test can crash or drain
+      a daemon with requests deterministically journaled but not run.
 
-    The chaos modes ([kill-domain], [stall-conn], [wal-torn]) always carry
+    The chaos modes ([kill-domain], [stall-conn], [wal-torn],
+    [hold-dispatch]) always carry
     an armed count; their bare forms mean one shot — an unbounded
     kill-domain would poison every job it touches.
 
@@ -48,6 +53,7 @@ type t =
   | Kill_domain
   | Stall_conn
   | Wal_torn
+  | Hold_dispatch
 
 val parse : string -> (t list, string) result
 (** Parse a comma-separated [MCS_FAULT] value.  The empty string parses to
@@ -91,3 +97,7 @@ val stall_conn : unit -> bool
 val wal_torn : unit -> bool
 (** Consume one wal-torn shot: [true] means the WAL append in progress
     should write a torn record. *)
+
+val hold_dispatch : unit -> bool
+(** Consume one hold-dispatch shot: [true] means the server being
+    created should never dispatch on its own (shutdown still drains). *)

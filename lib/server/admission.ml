@@ -32,11 +32,13 @@ let make ?(max_queue = 256) () =
 
 let max_queue t = t.max_queue
 
-let observe t ~latency_ms =
+let observe ?(predict = true) t ~latency_ms =
   M.observe latency_hist (int_of_float (Float.max 0.0 latency_ms));
-  t.window.(t.next) <- latency_ms;
-  t.next <- (t.next + 1) mod window_size;
-  if t.filled < window_size then t.filled <- t.filled + 1
+  if predict then begin
+    t.window.(t.next) <- latency_ms;
+    t.next <- (t.next + 1) mod window_size;
+    if t.filled < window_size then t.filled <- t.filled + 1
+  end
 
 let median t =
   if t.filled = 0 then None

@@ -20,8 +20,12 @@ val make : ?max_queue:int -> unit -> t
 
 val max_queue : t -> int
 
-val observe : t -> latency_ms:float -> unit
-(** Record one completed request's submit-to-reply latency. *)
+val observe : ?predict:bool -> t -> latency_ms:float -> unit
+(** Record one completed request's submit-to-reply latency in the
+    [server.latency_ms] histogram and, unless [predict] is [false], in
+    the window {!decide} predicts from.  A settled hit answered at
+    admission passes [false]: it never queues, so its sub-millisecond
+    latency says nothing about the wait a miss would face. *)
 
 val median : t -> float option
 (** Median of the recorded window; [None] before the first completion. *)

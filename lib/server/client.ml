@@ -21,9 +21,12 @@ let connect_tcp host port =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-let send t req =
+let write t req =
   output_string t.oc (P.request_to_string req);
-  output_char t.oc '\n';
+  output_char t.oc '\n'
+
+let send t req =
+  write t req;
   flush t.oc
 
 let recv t =
@@ -31,10 +34,13 @@ let recv t =
   | line -> P.response_of_string line
   | exception End_of_file -> Error "server closed the connection"
 
-(* Fire all submissions, then collect replies until every id has
-   answered; replies come back in completion order (coalescing and
-   batching reorder freely), so results are re-sorted into submission
-   order by id.  Requests with an empty id get client-assigned ones. *)
+(* Fire all submissions in one flush, so a small burst reaches the
+   server in one read and is admitted whole (an idle domain cannot
+   start its head before the rest coalesces or batches with it).  Then
+   collect replies until every id has answered; replies come back in
+   completion order (coalescing and batching reorder freely), so
+   results are re-sorted into submission order by id.  Requests with an
+   empty id get client-assigned ones. *)
 let submit_all t submits =
   let submits =
     List.mapi
@@ -42,7 +48,8 @@ let submit_all t submits =
         if s.P.id = "" then { s with P.id = Printf.sprintf "c%d" i } else s)
       submits
   in
-  List.iter (fun s -> send t (P.Submit s)) submits;
+  List.iter (fun s -> write t (P.Submit s)) submits;
+  flush t.oc;
   let wanted = List.map (fun (s : P.submit) -> s.P.id) submits in
   let replies = Hashtbl.create (List.length submits) in
   let rec collect () =

@@ -16,7 +16,9 @@ val recv : t -> (Protocol.response, string) result
 
 val submit_all :
   t -> Protocol.submit list -> (Protocol.reply list, string) result
-(** Pipeline all submissions, then collect until every id has replied;
+(** Pipeline all submissions in one flush (a small burst reaches the
+    daemon in one read, so it is admitted — and coalesced or batched —
+    as a whole), then collect until every id has replied;
     results return in submission order regardless of the server's
     completion order.  Submits with id [""] get client-assigned ids
     [c0], [c1], ...  A connection-level error reply (one without an id,

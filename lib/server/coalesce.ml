@@ -31,6 +31,7 @@ let make ?(window_ms = 5.0) () =
   { window_ms; inflight = Hashtbl.create 64; window = []; opened = None }
 
 let pending t = Hashtbl.length t.inflight
+let inflight t job = Hashtbl.mem t.inflight (Job.to_string job)
 
 let submit t ~now job waiter =
   let key = Job.to_string job in
@@ -49,7 +50,8 @@ let submit t ~now job waiter =
       `New
 
 (* Seconds until the open window is due to flush; [None] when nothing is
-   waiting.  The server folds this into its select timeout. *)
+   waiting.  The server folds this into its select timeout (and forces
+   the flush itself whenever a worker domain is idle). *)
 let due t ~now =
   match t.opened with
   | None -> None

@@ -5,9 +5,12 @@
     running) attaches as an extra waiter and shares the one computation
     — its reply is bit-identical to a solo run because the outcome codec
     carries no environment-dependent data.  {e Batching}: new entries
-    collect in a short window; on flush, same-design same-flow entries
-    (e.g. one design swept over rates) merge into one batch dispatched
-    to a single worker domain as one grid job.
+    collect in a window; on flush, same-design same-flow entries (e.g.
+    one design swept over rates) merge into one batch dispatched to a
+    single worker domain as one grid job.  The window only holds entries
+    while every worker domain is busy: the server forces the flush as
+    soon as one is idle, so an unloaded daemon dispatches at once and
+    the batch forms in the queue only under load.
 
     Not domain-safe by design: every call site is the server's
     single-threaded main loop; worker domains only ever see the
@@ -36,10 +39,15 @@ type t
 
 val make : ?window_ms:float -> unit -> t
 (** [window_ms] (default 5) is the batching window: how long a fresh
-    entry waits for same-design company before dispatch. *)
+    entry waits for same-design company before dispatch while every
+    worker domain is busy (the bound on the wait under load). *)
 
 val pending : t -> int
 (** Entries admitted and not yet completed (queued or running). *)
+
+val inflight : t -> Mcs_engine.Job.t -> bool
+(** Whether an identical job is admitted and not yet completed — a
+    submission of it would coalesce rather than start fresh. *)
 
 val submit :
   t -> now:float -> Mcs_engine.Job.t -> waiter -> [ `New | `Coalesced ]
@@ -49,7 +57,8 @@ val due : t -> now:float -> float option
 
 val flush : t -> now:float -> force:bool -> entry list list
 (** The batches to dispatch, in arrival order, when the window has
-    expired (or [force]d, e.g. on shutdown); [[]] otherwise. *)
+    expired or is [force]d (an idle domain, or shutdown); [[]]
+    otherwise. *)
 
 val complete : t -> entry -> unit
 (** Forget a finished entry so later identical jobs start fresh. *)

@@ -71,7 +71,6 @@ type completion = {
   entry : Coalesce.entry;
   outcome : Outcome.t option;
   diag : P.diag option;
-  cached : bool;
 }
 
 type t = {
@@ -90,6 +89,7 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   mutable running_jobs : int; (* dispatched to a domain, not yet replied *)
+  hold : bool; (* hold-dispatch fault: only a shutdown dispatches *)
   mutable shutting_down : bool;
   mutable shutdown_conns : int list; (* conns owed a Bye *)
   mutable drained : int; (* jobs finished after shutdown was requested *)
@@ -160,71 +160,62 @@ let wake_fd wake_w =
 
 let wake t = wake_fd t.wake_w
 
+(* Milliseconds left at [now] before an absolute [deadline]. *)
+let remaining_ms deadline ~now =
+  Option.map (fun d -> (d -. now) *. 1000.0) deadline
+
+(* The typed answer to a request whose deadline ([ms] remaining, not
+   positive) passed before it could be answered — the same [Exhausted]
+   diagnostic a solver's own exhaustion would produce. *)
+let deadline_diag ms =
+  P.exhausted_diag ~phase:"serve.deadline"
+    (Printf.sprintf "deadline expired %.1f ms before execution" (-.ms))
+
 (* One entry of a batch, on a worker domain.  The per-request deadline
    becomes the flow's whole-solver budget; a deadline found already
-   expired is answered with the same typed [Exhausted] diagnostic a
-   solver's own exhaustion would produce, without burning the domain. *)
+   expired is answered with {!deadline_diag}, without burning the
+   domain.  The entry was a cache miss at admission (the one lookup
+   site), so it executes and stores its outcome. *)
 let run_entry t (e : Coalesce.entry) =
   let job = e.Coalesce.job in
   Mcs_obs.Log.with_field "job" (Job.hash job) @@ fun () ->
   Mcs_obs.Trace.with_span ~attrs:[ ("job", Job.hash job) ] "serve.exec"
   @@ fun () ->
-  let now = Unix.gettimeofday () in
   let remaining_ms =
-    Option.map
-      (fun d -> (d -. now) *. 1000.0)
-      (Coalesce.entry_deadline e)
+    remaining_ms (Coalesce.entry_deadline e) ~now:(Unix.gettimeofday ())
   in
   match remaining_ms with
   | Some ms when ms <= 0.0 ->
-      {
-        entry = e;
-        outcome = None;
-        cached = false;
-        diag =
-          Some
-            (P.exhausted_diag ~phase:"serve.deadline"
-               (Printf.sprintf "deadline expired %.1f ms before execution"
-                  (-.ms)));
-      }
+      { entry = e; outcome = None; diag = Some (deadline_diag ms) }
   | _ ->
       if Supervisor.take_crash t.sup then
         {
           entry = e;
-          cached = false;
           diag = None;
           outcome =
             Some
               (crashed_outcome job "injected worker crash (crash-worker fault)");
         }
       else begin
-        match Option.bind t.cache (fun c -> Cache.lookup c job) with
-        | Some o -> { entry = e; outcome = Some o; diag = None; cached = true }
-        | None ->
-            let fallback = Coalesce.entry_fallback e in
-            let policy =
-              match remaining_ms with
-              | Some ms ->
-                  Some
-                    {
-                      F.default_policy with
-                      F.budget = Mcs_resilience.Budget.make ~deadline_ms:ms ();
-                      F.fallback = fallback;
-                    }
-              | None ->
-                  if fallback then None
-                  else Some { F.default_policy with F.fallback = false }
-            in
-            let outcome, dg = Pool.exec_diag ?policy job in
-            (match t.cache with
-            | Some c -> Cache.store c job outcome
-            | None -> ());
-            {
-              entry = e;
-              outcome = Some outcome;
-              diag = Option.map P.diag_of_flow dg;
-              cached = false;
-            }
+        let fallback = Coalesce.entry_fallback e in
+        let policy =
+          match remaining_ms with
+          | Some ms ->
+              Some
+                {
+                  F.default_policy with
+                  F.budget = Mcs_resilience.Budget.make ~deadline_ms:ms ();
+                  F.fallback = fallback;
+                }
+          | None ->
+              if fallback then None
+              else Some { F.default_policy with F.fallback = false }
+        in
+        let outcome, dg = Pool.exec_diag ?policy job in
+        (match t.cache with
+        | Some c -> Cache.store c job outcome
+        | None -> ());
+        { entry = e; outcome = Some outcome; diag = Option.map P.diag_of_flow dg }
       end
 
 (* One batch entry under the supervisor's exactly-once protocol, plus
@@ -245,7 +236,6 @@ let exec_entry t (entries : Coalesce.entry array) i =
         entry = e;
         outcome = Some (crashed_outcome e.Coalesce.job (Printexc.to_string exn));
         diag = None;
-        cached = false;
       }
   in
   (if i + 1 < Array.length entries then
@@ -264,7 +254,6 @@ let poisoned_completion (e : Coalesce.entry) ~strikes =
   {
     entry = e;
     outcome = None;
-    cached = false;
     diag =
       Some
         (P.poisoned_diag ~phase:"serve.supervisor"
@@ -272,6 +261,24 @@ let poisoned_completion (e : Coalesce.entry) ~strikes =
               "job killed its worker domain %d times and was quarantined"
               strikes));
   }
+
+(* The one cache-lookup site, on the event loop: a job with nothing
+   identical in flight is answered from the shared cache when its
+   outcome is settled, at admission or at journal replay.  An in-flight
+   duplicate coalesces without a lookup, and a miss goes on to execute
+   without another, so each key is looked up once per computation it
+   could start.  A hit runs under the [serve.exec] span a domain's
+   execution would, so every non-coalesced request owns exactly one
+   such span; a miss must not open one (its execution will), hence the
+   probe for an absent entry first. *)
+let settled t job =
+  match t.cache with
+  | Some c when not (Coalesce.inflight t.coal job) ->
+      if Sys.file_exists (Cache.entry_path c job) then
+        Mcs_obs.Trace.with_span ~attrs:[ ("job", Job.hash job) ] "serve.exec"
+        @@ fun () -> Cache.lookup c job
+      else Cache.lookup c job
+  | _ -> None
 
 let create ?(config = default_config) () =
   (* A client that disconnects mid-reply must cost the daemon an EPIPE,
@@ -341,6 +348,7 @@ let create ?(config = default_config) () =
       wake_r;
       wake_w;
       running_jobs = 0;
+      hold = Mcs_resilience.Fault.hold_dispatch ();
       shutting_down = false;
       shutdown_conns = [];
       drained = 0;
@@ -349,27 +357,36 @@ let create ?(config = default_config) () =
     }
   in
   tref := Some t;
-  (* Replayed requests re-enter through the normal coalescing queue with
-     a connection id no client owns: their replies settle into the warm
-     cache (and their done marks into the journal), answering nothing —
-     zero accepted requests lost, zero replies duplicated. *)
+  (* Replayed requests re-enter through the admission path with a
+     connection id no client owns, answering nothing: one already
+     settled in the cache is marked done at once, the rest go through
+     the normal coalescing queue and settle into the warm cache (and
+     their done marks into the journal) — zero accepted requests lost,
+     zero replies duplicated. *)
   List.iter
     (fun r ->
       match r with
-      | Wal.Admit { id; job; deadline_ms = _; fallback } ->
+      | Wal.Admit { id; job; deadline_ms = _; fallback } -> (
           M.incr c_wal_recovered;
-          let now = Unix.gettimeofday () in
-          let waiter =
-            {
-              Coalesce.conn = -1;
-              req_id = id;
-              enqueued_at = now;
-              deadline = None;
-              fallback;
-              attached = false;
-            }
-          in
-          ignore (Coalesce.submit t.coal ~now job waiter)
+          match settled t job with
+          | Some _ ->
+              M.incr c_served;
+              Option.iter
+                (fun w -> Wal.append ~sync:false w (Wal.Done { id }))
+                t.wal
+          | None ->
+              let now = Unix.gettimeofday () in
+              let waiter =
+                {
+                  Coalesce.conn = -1;
+                  req_id = id;
+                  enqueued_at = now;
+                  deadline = None;
+                  fallback;
+                  attached = false;
+                }
+              in
+              ignore (Coalesce.submit t.coal ~now job waiter))
       | Wal.Done _ -> ())
     recovered;
   if recovered <> [] then
@@ -447,6 +464,18 @@ let send_to t conn_id response =
   | Some c -> send t c response
   | None -> () (* client went away; its share of the work is just dropped *)
 
+(* Answer one request: its latency goes to the histogram (and to the
+   admission predictor's window unless [predict] is [false]), it counts
+   as served, and the reply is sent. *)
+let answer ?predict t ~conn ~id ~enqueued_at ~now ~cached ~coalesced outcome
+    diag =
+  let wall_ms = (now -. enqueued_at) *. 1000.0 in
+  Admission.observe ?predict t.adm ~latency_ms:wall_ms;
+  M.incr c_served;
+  event "reply"
+    [ ("id", Mcs_obs.Events.Str id); ("wall_ms", Mcs_obs.Events.Float wall_ms) ];
+  send_to t conn (P.Reply { P.id; outcome; diag; cached; coalesced; wall_ms })
+
 let reject t c ~id diag =
   send t c
     (P.Reply
@@ -509,6 +538,7 @@ let fresh_anon t =
 let handle_submit t (c : conn) (s : P.submit) =
   let now = Unix.gettimeofday () in
   let id = if s.P.id = "" then fresh_anon t else s.P.id in
+  let deadline = Option.map (fun ms -> now +. (ms /. 1000.0)) s.P.deadline_ms in
   if t.shutting_down then
     reject t c ~id (P.exhausted_diag ~phase:"serve.shutdown" "server is draining")
   else if Supervisor.poisoned_key t.sup (Job.to_string s.P.job) then begin
@@ -529,40 +559,59 @@ let handle_submit t (c : conn) (s : P.submit) =
             ("reason", Mcs_obs.Events.Str reason);
           ];
         reject t c ~id (P.exhausted_diag ~phase:"serve.admission" reason)
-    | Ok () ->
-        (* The durability point: once the admit record is fsync'd, this
-           request survives any daemon crash — recovery replays it.  It
-           must land before the request can possibly be dispatched. *)
-        (match t.wal with
-        | Some w ->
-            Wal.append w
-              (Wal.Admit
-                 {
-                   id;
-                   job = s.P.job;
-                   deadline_ms = s.P.deadline_ms;
-                   fallback = s.P.fallback;
-                 })
-        | None -> ());
-        let waiter =
-          {
-            Coalesce.conn = c.conn_id;
-            req_id = id;
-            enqueued_at = now;
-            deadline = Option.map (fun ms -> now +. (ms /. 1000.0)) s.P.deadline_ms;
-            fallback = s.P.fallback;
-            attached = false;
-          }
+    | Ok () -> (
+        let submitted coalesced =
+          event "submit"
+            [
+              ("id", Mcs_obs.Events.Str id);
+              ("job", Mcs_obs.Events.Str (Job.hash s.P.job));
+              ("coalesced", Mcs_obs.Events.Bool coalesced);
+            ]
         in
-        let how = Coalesce.submit t.coal ~now s.P.job waiter in
-        c.outstanding <- c.outstanding + 1;
-        event "submit"
-          [
-            ("id", Mcs_obs.Events.Str id);
-            ("job", Mcs_obs.Events.Str (Job.hash s.P.job));
-            ( "coalesced",
-              Mcs_obs.Events.Bool (match how with `Coalesced -> true | `New -> false) );
-          ]
+        match settled t s.P.job with
+        | Some o ->
+            (* A settled hit is answered here, under the same deadline
+               rule as an execution.  It needs no journal admit and no
+               done mark, no window and no domain: a crash can lose only
+               the reply, which recovery could not re-deliver anyway. *)
+            submitted false;
+            let replied = Unix.gettimeofday () in
+            let outcome, diag =
+              match remaining_ms deadline ~now:replied with
+              | Some ms when ms <= 0.0 -> (None, Some (deadline_diag ms))
+              | _ -> (Some o, None)
+            in
+            answer t ~predict:false ~conn:c.conn_id ~id ~enqueued_at:now
+              ~now:replied ~cached:(outcome <> None) ~coalesced:false outcome
+              diag
+        | None ->
+            (* The durability point: once the admit record is fsync'd, this
+               request survives any daemon crash — recovery replays it.  It
+               must land before the request can possibly be dispatched. *)
+            (match t.wal with
+            | Some w ->
+                Wal.append w
+                  (Wal.Admit
+                     {
+                       id;
+                       job = s.P.job;
+                       deadline_ms = s.P.deadline_ms;
+                       fallback = s.P.fallback;
+                     })
+            | None -> ());
+            let waiter =
+              {
+                Coalesce.conn = c.conn_id;
+                req_id = id;
+                enqueued_at = now;
+                deadline;
+                fallback = s.P.fallback;
+                attached = false;
+              }
+            in
+            let how = Coalesce.submit t.coal ~now s.P.job waiter in
+            c.outstanding <- c.outstanding + 1;
+            submitted (how = `Coalesced))
 
 let handle_line t (c : conn) line =
   if String.trim line <> "" then begin
@@ -716,16 +765,23 @@ let reap_conns t ~now =
 let run_batch_inline t (entries : Coalesce.entry array) =
   Array.iteri (fun i _ -> push_completion t (exec_entry t entries i)) entries
 
+(* The window holds entries only while every domain is busy.  A busy
+   domain always owes at least one unreplied entry, so fewer owed
+   entries than domains means one is idle: flush at once.  Otherwise the
+   window opens, and it closes early as soon as a completion frees a
+   domain (the wake pipe brings the loop straight back here). *)
 let dispatch_due t ~now =
-  List.iter
-    (fun batch ->
-      t.running_jobs <- t.running_jobs + List.length batch;
-      let entries = Array.of_list batch in
-      if not (Supervisor.submit t.sup entries) then
-        (* The pool stopped underneath us (shutdown raced a late window):
-           run inline so no admitted request is ever left unanswered. *)
-        run_batch_inline t entries)
-    (Coalesce.flush t.coal ~now ~force:t.shutting_down)
+  if t.shutting_down || not t.hold then
+    List.iter
+      (fun batch ->
+        t.running_jobs <- t.running_jobs + List.length batch;
+        let entries = Array.of_list batch in
+        if not (Supervisor.submit t.sup entries) then
+          (* The pool stopped underneath us (shutdown raced a late window):
+             run inline so no admitted request is ever left unanswered. *)
+          run_batch_inline t entries)
+      (Coalesce.flush t.coal ~now
+         ~force:(t.shutting_down || t.running_jobs < Supervisor.size t.sup))
 
 let process_completions t =
   let comps =
@@ -743,32 +799,17 @@ let process_completions t =
       if t.shutting_down then t.drained <- t.drained + 1;
       List.iter
         (fun (w : Coalesce.waiter) ->
-          let wall_ms = (now -. w.Coalesce.enqueued_at) *. 1000.0 in
-          Admission.observe t.adm ~latency_ms:wall_ms;
-          M.incr c_served;
           (* The done mark is unsynced: losing it costs one warm
              recomputation at recovery, never a lost request. *)
           (match t.wal with
           | Some wal -> Wal.append ~sync:false wal (Wal.Done { id = w.Coalesce.req_id })
           | None -> ());
-          event "reply"
-            [
-              ("id", Mcs_obs.Events.Str w.Coalesce.req_id);
-              ("wall_ms", Mcs_obs.Events.Float wall_ms);
-            ];
           (match Hashtbl.find_opt t.conns w.Coalesce.conn with
           | Some c -> c.outstanding <- max 0 (c.outstanding - 1)
           | None -> ());
-          send_to t w.Coalesce.conn
-            (P.Reply
-               {
-                 P.id = w.Coalesce.req_id;
-                 outcome = comp.outcome;
-                 diag = comp.diag;
-                 cached = comp.cached;
-                 coalesced = w.Coalesce.attached;
-                 wall_ms;
-               }))
+          answer t ~conn:w.Coalesce.conn ~id:w.Coalesce.req_id
+            ~enqueued_at:w.Coalesce.enqueued_at ~now ~cached:false
+            ~coalesced:w.Coalesce.attached comp.outcome comp.diag)
         (List.rev comp.entry.Coalesce.waiters))
     comps;
   Admission.set_depth (Coalesce.pending t.coal - t.running_jobs);
@@ -833,8 +874,8 @@ let serve t =
       let tmo =
         let cap = if t.shutting_down then 0.05 else 0.2 in
         match Coalesce.due t.coal ~now with
-        | Some d -> Float.min d cap
-        | None -> cap
+        | Some d when not t.hold -> Float.min d cap
+        | _ -> cap
       in
       let conn_fds =
         Hashtbl.fold (fun _ c acc -> (c.fd, c) :: acc) t.conns []

@@ -15,15 +15,27 @@
     With a [cache_dir], worker domains share the content-addressed
     {!Mcs_engine.Cache} (safe: the cache is bucket-locked per entry).
 
+    Fast path: a request only waits when there is a reason to.  A job
+    with nothing identical in flight is looked up in the cache on the
+    main loop at admission — the daemon's one lookup site — and a
+    settled hit is answered there ([cached = true]) under the same
+    deadline rule, with no journal record, window or domain.  A miss
+    enters the {!Coalesce} window, which is flushed at once while any
+    worker domain is idle (fewer unreplied dispatched entries than
+    domains); the window opens only when every domain is busy and
+    closes as soon as one frees, so [window_ms] bounds the wait under
+    load only.
+
     Crash safety: the {!Mcs_engine.Supervisor} heartbeat-monitors the worker
     domains — a dead or stuck domain is respawned with backoff and its
     batch requeued, and a job that keeps killing domains is quarantined
     with a typed [poisoned] diagnostic (known-poison jobs are refused at
-    admission).  With a [wal_path], every admitted request is fsync'd to
-    the [mcs-wal/1] journal ({!Wal}) before dispatch and marked done on
-    reply; [recover] replays admitted-but-unanswered records through the
-    normal queue at startup, so a daemon crash loses zero accepted
-    requests.
+    admission).  With a [wal_path], every request that is not a settled
+    hit is fsync'd to the [mcs-wal/1] journal ({!Wal}) before dispatch
+    and marked done on reply; [recover] replays admitted-but-unanswered
+    records through the same admission path at startup (one already
+    settled in the cache is marked done without executing), so a daemon
+    crash loses zero accepted requests.
 
     Hostile clients: connections are nonblocking with buffered partial
     writes (a reply can never block the loop; a consumer that stops
@@ -52,7 +64,9 @@ type config = {
   tcp_port : int option;  (** loopback only *)
   domains : int;
   cache_dir : string option;
-  window_ms : float;  (** batching window, milliseconds *)
+  window_ms : float;
+      (** batching window, milliseconds — applies only while every
+          worker domain is busy *)
   max_queue : int;
   wal_path : string option;  (** durable request journal ([mcs-wal/1]) *)
   recover : bool;  (** replay incomplete journal records at startup *)

@@ -80,7 +80,8 @@ let with_server ?(domains = 2) ?(window_ms = 5.0) ?cache_dir ?wal_path
     ?(read_deadline_s = Server.default_config.Server.read_deadline_s)
     ?(idle_timeout_s = Server.default_config.Server.idle_timeout_s)
     ?(max_frame = Server.default_config.Server.max_frame)
-    ?(stall_s = Server.default_config.Server.stall_s) f =
+    ?(stall_s = Server.default_config.Server.stall_s) ?(before_serve = ignore) f
+    =
   let sock = match socket_path with Some s -> s | None -> tmp_name "sock" in
   let config =
     {
@@ -98,6 +99,7 @@ let with_server ?(domains = 2) ?(window_ms = 5.0) ?cache_dir ?wal_path
     }
   in
   let t = Server.create ~config () in
+  before_serve ();
   let d = Domain.spawn (fun () -> Server.serve t) in
   Fun.protect
     ~finally:(fun () ->
@@ -541,22 +543,21 @@ let test_kill_and_recover () =
   let wal = tmp_name "wal" in
   let cache = tmp_dir () in
   let jobs = [ rjob 101; rjob 102; rjob 103 ] in
-  (* Daemon #1: a huge batching window keeps the admitted requests
-     journaled but never dispatched — then we abandon it mid-flight
-     (its domains leak until process exit), the in-process stand-in
-     for kill -9. *)
+  (* Daemon #1: the hold-dispatch fault (consumed when it is created)
+     keeps the admitted requests journaled but never dispatched — then
+     we abandon it mid-flight (its domains leak until process exit), the
+     in-process stand-in for kill -9. *)
   let sock1 = tmp_name "sock" in
   let cfg1 =
     {
       Server.default_config with
       Server.socket_path = sock1;
       domains = 1;
-      window_ms = 600_000.0;
       cache_dir = Some cache;
       wal_path = Some wal;
     }
   in
-  let t1 = Server.create ~config:cfg1 () in
+  let t1 = with_fault "hold-dispatch" (fun () -> Server.create ~config:cfg1 ()) in
   let (_ : unit Domain.t) = Domain.spawn (fun () -> Server.serve t1) in
   let c = Client.connect_unix sock1 in
   List.iteri
@@ -573,19 +574,24 @@ let test_kill_and_recover () =
   checki "journal intact" 0 torn;
   checki "journal owes every admitted request" (List.length jobs)
     (List.length (Wal.incomplete records));
-  (* Daemon #2 recovers the journal through the normal queue. *)
+  (* Daemon #2 recovers the journal through the normal queue.  Its
+     recovery is checked before its loop runs: an idle domain would
+     otherwise settle the replayed requests (and mark them done) at
+     once. *)
   let recovered0 = counter "server.wal.recovered" in
+  let recovery_checks () =
+    checki "every owed request recovered"
+      (recovered0 + List.length jobs)
+      (counter "server.wal.recovered");
+    (* Recovery compacted the journal: the owed admits are journaled
+       afresh, not duplicated. *)
+    let records', _ = Wal.replay wal in
+    checki "compacted journal owes the same requests" (List.length jobs)
+      (List.length (Wal.incomplete records'))
+  in
   with_server ~domains:2 ~window_ms:2.0 ~cache_dir:cache ~wal_path:wal
-    ~recover:true
+    ~recover:true ~before_serve:recovery_checks
   @@ fun sock ->
-  checki "every owed request recovered"
-    (recovered0 + List.length jobs)
-    (counter "server.wal.recovered");
-  (* Recovery compacted the journal: the owed admits are journaled
-     afresh, not duplicated. *)
-  let records', _ = Wal.replay wal in
-  checki "compacted journal owes the same requests" (List.length jobs)
-    (List.length (Wal.incomplete records'));
   (* Zero lost: resubmitting the same jobs either coalesces with the
      in-flight recovered computation or hits the cache it filled. *)
   let c2 = Client.connect_unix sock in
@@ -606,6 +612,34 @@ let test_kill_and_recover () =
             true
             (r.P.cached || r.P.coalesced))
         rs
+
+(* Replay goes through the admission path: an owed admit whose outcome
+   is already cached is marked done without executing; only the other
+   one runs. *)
+let test_recover_settled () =
+  let wal = tmp_name "wal" in
+  let cache = tmp_dir () in
+  let settled = rjob 111 and owed = rjob 112 in
+  Mcs_engine.Cache.store (Mcs_engine.Cache.open_dir cache) settled
+    (Pool.exec settled);
+  let w = Wal.open_ wal in
+  List.iter
+    (fun (id, job) ->
+      Wal.append w (Wal.Admit { id; job; deadline_ms = None; fallback = true }))
+    [ ("settled", settled); ("owed", owed) ];
+  Wal.close w;
+  let recovered0 = counter "server.wal.recovered"
+  and served0 = counter "server.served"
+  and batches0 = counter "server.batches" in
+  with_server ~cache_dir:cache ~wal_path:wal ~recover:true @@ fun _sock ->
+  checki "both admits replayed" (recovered0 + 2)
+    (counter "server.wal.recovered");
+  checkb "both settle" true
+    (eventually (fun () -> counter "server.served" >= served0 + 2));
+  checki "only the uncached admit executed" (batches0 + 1)
+    (counter "server.batches");
+  checkb "journal owes nothing" true
+    (eventually (fun () -> Wal.incomplete (fst (Wal.replay wal)) = []))
 
 let test_oversized_frame () =
   let oversized0 = counter "server.oversized" in
@@ -781,6 +815,8 @@ let suite =
         test_chaos_schedule_exactly_once;
       Alcotest.test_case "crash loses zero journaled requests" `Quick
         test_kill_and_recover;
+      Alcotest.test_case "replayed settled admit is not re-executed" `Quick
+        test_recover_settled;
       Alcotest.test_case "oversized frames get typed replies" `Quick
         test_oversized_frame;
       Alcotest.test_case "slowloris partial line reaped" `Quick

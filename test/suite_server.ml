@@ -62,7 +62,7 @@ let outcome ?(status = Outcome.Feasible) ?(pins = [ (0, 8); (1, 16) ])
 
 (* Run a daemon on its own socket in a spawned domain; always drain it
    (if the test has not already) and join before returning. *)
-let with_server ?(domains = 2) ?(window_ms = 5.0) ?cache_dir f =
+let with_server ?(domains = 2) ?(window_ms = 5.0) ?cache_dir ?wal_path f =
   let sock = tmp_name "sock" in
   let config =
     {
@@ -71,6 +71,7 @@ let with_server ?(domains = 2) ?(window_ms = 5.0) ?cache_dir f =
       domains;
       window_ms;
       cache_dir;
+      wal_path;
     }
   in
   let t = Server.create ~config () in
@@ -251,13 +252,14 @@ let test_cache_domain_safety () =
 (* --- the daemon over its socket --- *)
 
 let test_deadline_exhausted () =
-  with_server ~window_ms:30.0 @@ fun sock ->
+  with_server @@ fun sock ->
   let c = Client.connect_unix sock in
-  (* A 0.01 ms deadline is guaranteed dead by the time the 30 ms
-     batching window flushes, so the typed answer is deterministic. *)
+  (* A 0 ms deadline is dead by the time any domain picks the job up
+     (an idle one dispatches at once), so the typed answer is
+     deterministic. *)
   match
     Client.submit_all c
-      [ sub ~deadline_ms:0.01 ~fallback:false "dl" (rjob 3) ]
+      [ sub ~deadline_ms:0.0 ~fallback:false "dl" (rjob 3) ]
   with
   | Error m -> Alcotest.fail m
   | Ok [ r ] ->
@@ -275,6 +277,8 @@ let test_coalesce_bit_identical () =
   with_server ~window_ms:250.0 @@ fun sock ->
   let c = Client.connect_unix sock in
   let j = rjob ~rate:3 31 in
+  (* [submit_all] sends both lines in one write, so the second is
+     admitted while the first is still in flight. *)
   match Client.submit_all c [ sub "a" j; sub "b" j ] with
   | Error m -> Alcotest.fail m
   | Ok ([ ra; rb ] as rs) ->
@@ -296,8 +300,22 @@ let test_coalesce_bit_identical () =
       Client.close c
   | Ok rs -> Alcotest.failf "expected two replies, got %d" (List.length rs)
 
+(* Arm a fault schedule for the duration of [f]; [Fault.reset] re-arms
+   shot counters an earlier test may have consumed. *)
+let with_fault schedule f =
+  Unix.putenv "MCS_FAULT" schedule;
+  Mcs_resilience.Fault.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "MCS_FAULT" "";
+      Mcs_resilience.Fault.reset ())
+    f
+
 let test_shutdown_drains_inflight () =
-  with_server ~domains:1 ~window_ms:400.0 @@ fun sock ->
+  (* The hold-dispatch fault keeps the admitted job undispatched until
+     the shutdown's forced flush. *)
+  with_fault "hold-dispatch" @@ fun () ->
+  with_server ~domains:1 @@ fun sock ->
   let a = Client.connect_unix sock in
   let b = Client.connect_unix sock in
   Client.send a (P.submit ~id:"drain1" (rjob 11));
@@ -349,6 +367,135 @@ let test_crash_fault_keeps_serving () =
   | Ok rs -> Alcotest.failf "expected one reply, got %d" (List.length rs));
   Client.close c
 
+let one_reply c s =
+  match Client.submit_all c [ s ] with
+  | Ok [ r ] -> r
+  | Ok rs -> Alcotest.failf "expected one reply, got %d" (List.length rs)
+  | Error m -> Alcotest.fail m
+
+let admits wal =
+  List.length
+    (List.filter
+       (function Mcs_server.Wal.Admit _ -> true | Mcs_server.Wal.Done _ -> false)
+       (fst (Mcs_server.Wal.replay wal)))
+
+(* An idle domain takes a lone miss at once: a 10 s window must not
+   delay it. *)
+let test_idle_dispatch () =
+  with_server ~window_ms:10_000.0 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let r = one_reply c (sub "lone" (rjob 41)) in
+  checkb "lone miss has an outcome" true (r.P.outcome <> None);
+  checkb "not a cache hit" false r.P.cached;
+  checkb
+    (Printf.sprintf "dispatched without waiting out the window (%.1f ms)"
+       r.P.wall_ms)
+    true (r.P.wall_ms < 1000.0)
+
+(* A settled job is answered at admission: no batch, one cache miss for
+   its key in all (the first run's), no journal admit for the repeat. *)
+let test_settled_hit_at_admission () =
+  let wal = tmp_name "wal" in
+  with_server ~cache_dir:(tmp_dir ()) ~wal_path:wal @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let j = rjob ~rate:3 43 in
+  let misses0 = counter "engine.cache.misses" in
+  let first = one_reply c (sub "first" j) in
+  checkb "first run executes" false first.P.cached;
+  let batches1 = counter "server.batches" in
+  let admits1 = admits wal in
+  let again = one_reply c (sub "again" j) in
+  checkb "repeat is a cache hit" true again.P.cached;
+  checkb "not coalesced" false again.P.coalesced;
+  (match (first.P.outcome, again.P.outcome) with
+  | Some a, Some b ->
+      checks "same outcome" (Outcome.to_string a) (Outcome.to_string b)
+  | _ -> Alcotest.fail "expected outcomes on both replies");
+  checki "no batch for the hit" batches1 (counter "server.batches");
+  checki "the key missed once" (misses0 + 1) (counter "engine.cache.misses");
+  checki "no journal admit for the hit" admits1 (admits wal)
+
+(* The deadline rule holds at admission: a settled job whose deadline is
+   already spent gets the typed serve.deadline diagnostic.  The cache is
+   filled before the daemon starts, so no earlier latency feeds the
+   admission predictor (which would refuse the request up front). *)
+let test_settled_hit_expired_deadline () =
+  let dir = tmp_dir () in
+  let j = rjob ~rate:3 47 in
+  Cache.store (Cache.open_dir dir) j (Pool.exec j);
+  with_server ~cache_dir:dir @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let batches0 = counter "server.batches" in
+  let r = one_reply c (sub ~deadline_ms:0.0 ~fallback:false "late" j) in
+  checkb "no outcome" true (r.P.outcome = None);
+  checkb "not reported cached" false r.P.cached;
+  (match r.P.diag with
+  | Some d ->
+      checks "typed exhausted" "exhausted" d.P.code;
+      checks "deadline phase" "serve.deadline" d.P.phase
+  | None -> Alcotest.fail "expected a typed diagnostic");
+  checki "answered at admission" batches0 (counter "server.batches");
+  (* Without a deadline the same job is a plain hit. *)
+  checkb "then served from cache" true (one_reply c (sub "on-time" j)).P.cached
+
+(* With the only domain busy, the window opens: same-design submissions
+   that arrive meanwhile still merge into one batch, dispatched as soon
+   as the domain frees (well before the 10 s window). *)
+let test_busy_domain_batches () =
+  with_server ~domains:1 ~window_ms:10_000.0 @@ fun sock ->
+  let a = Client.connect_unix sock in
+  let b = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close a; Client.close b) @@ fun () ->
+  let stat name =
+    match Client.stats b with
+    | Ok j -> Option.value ~default:(-1) (Option.bind (J.member name j) J.to_int)
+    | Error m -> Alcotest.fail m
+  in
+  let batches0 = counter "server.batches" in
+  (* A search of ~0.2 s keeps the domain busy while the burst lands. *)
+  Client.send a (P.submit ~id:"busy" (job ()));
+  let rec until_running n =
+    if stat "inflight" = 1 then ()
+    else if n = 0 then Alcotest.fail "busy job never dispatched"
+    else (Unix.sleepf 0.001; until_running (n - 1))
+  in
+  until_running 5000;
+  let burst = List.map (fun rate -> sub (Printf.sprintf "r%d" rate) (rjob ~rate 53)) [ 2; 3; 4 ] in
+  List.iter (fun s -> Client.send a (P.Submit s)) burst;
+  (* The stats round-trip on the burst's own connection proves all three
+     were admitted; they wait in the window behind the busy domain. *)
+  (match Client.stats a with
+  | Ok j ->
+      checki "burst waits in the window" 3
+        (Option.value ~default:(-1) (Option.bind (J.member "queue_depth" j) J.to_int))
+  | Error m -> Alcotest.fail m);
+  let rec collect acc =
+    if List.length acc = 4 then acc
+    else
+      match Client.recv a with
+      | Ok (P.Reply r) -> collect (r :: acc)
+      | Ok _ -> collect acc
+      | Error m -> Alcotest.fail m
+  in
+  let replies = collect [] in
+  List.iter
+    (fun (r : P.reply) ->
+      checkb (r.P.id ^ " has an outcome") true (r.P.outcome <> None);
+      checkb (r.P.id ^ " did not wait out the window") true (r.P.wall_ms < 5000.0))
+    replies;
+  checki "busy job, then one merged batch" (batches0 + 2) (counter "server.batches")
+
+let test_hits_skip_predictor () =
+  let a = Mcs_server.Admission.make () in
+  Mcs_server.Admission.observe a ~latency_ms:8.0;
+  Mcs_server.Admission.observe ~predict:false a ~latency_ms:0.1;
+  Mcs_server.Admission.observe ~predict:false a ~latency_ms:0.1;
+  checkb "hits leave the predicted median alone" true
+    (Mcs_server.Admission.median a = Some 8.0)
+
 let suite =
   ( "server",
     [
@@ -366,5 +513,15 @@ let suite =
         test_shutdown_drains_inflight;
       Alcotest.test_case "crash-worker fault leaves daemon serving" `Quick
         test_crash_fault_keeps_serving;
+      Alcotest.test_case "idle domain dispatches a lone miss at once" `Quick
+        test_idle_dispatch;
+      Alcotest.test_case "settled repeat answered at admission" `Quick
+        test_settled_hit_at_admission;
+      Alcotest.test_case "settled hit past its deadline is typed" `Quick
+        test_settled_hit_expired_deadline;
+      Alcotest.test_case "busy domain still batches same-design jobs" `Quick
+        test_busy_domain_batches;
+      Alcotest.test_case "admission hits skip the predictor" `Quick
+        test_hits_skip_predictor;
     ]
     @ List.map QCheck_alcotest.to_alcotest [ prop_submit_roundtrip ] )
