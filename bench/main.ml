@@ -1645,8 +1645,17 @@ let baseline_records ~reps () =
         (run_flow F.Ch5
            (Benchmarks.ar_general ())
            ~rate:4 ~pipe_length:9 ~mode:C.Bidir));
+  (* The scheduler must ask the same I/O questions; the hook may answer
+     them with fewer repacks, never more. *)
   flow_case
-    ~counters:[ "subbus.search_nodes"; "subbus.node_limit"; "subbus.refuted" ]
+    ~counters:
+      [
+        "subbus.search_nodes";
+        "subbus.node_limit";
+        "subbus.refuted";
+        "ls.io_feasibility_tests";
+        "subbus.repacks";
+      ]
     "ch6" "ar-general" 3 (fun () ->
       Result.map totals
         (run_flow F.Ch6 (Benchmarks.ar_general ()) ~rate:3 ~mode:C.Bidir));

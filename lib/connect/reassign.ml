@@ -6,7 +6,12 @@ let m_repacks = M.counter "reassign.repacks"
 let m_repack_failures = M.counter "reassign.repack_failures"
 let m_retargets = M.counter "reassign.retargets"
 
-type entry = { value : string; at_cstep : int; mutable entry_ops : Types.op_id list }
+type entry = {
+  value : string;
+  vid : int; (* [value]'s id in the [Io_table] *)
+  at_cstep : int;
+  mutable entry_ops : Types.op_id list;
+}
 
 type plan = {
   plan_op : Types.op_id;
@@ -21,6 +26,12 @@ type t = {
   rate : int;
   dynamic : bool;
   budget : Mcs_resilience.Budget.t;
+  io_ops : Types.op_id list; (* [Cdfg.io_ops], in order *)
+  value_ids : int array; (* per op id: value id *)
+  capable : bool array array;
+      (* per op id and bus; the connection does not change while
+         scheduling *)
+  used : int array; (* per bus: allocated groups *)
   alloc : (int * int, entry) Hashtbl.t; (* (bus, group) -> committed slot *)
   tentative : (Types.op_id, int) Hashtbl.t; (* unscheduled ops only *)
   committed : (Types.op_id, int) Hashtbl.t;
@@ -31,17 +42,29 @@ let create ?(budget = Mcs_resilience.Budget.unlimited) cdfg conn ~rate ~initial
     ~dynamic =
   let tentative = Hashtbl.create 64 in
   List.iter (fun (op, h) -> Hashtbl.replace tentative op h) initial;
+  let io_ops = Cdfg.io_ops cdfg in
   List.iter
     (fun op ->
       if not (Hashtbl.mem tentative op) then
         invalid_arg "Reassign.create: some I/O operation has no initial bus")
-    (Cdfg.io_ops cdfg);
+    io_ops;
+  let nb = Connection.n_buses conn in
+  let capable = Array.make (Cdfg.n_ops cdfg) [||] in
+  List.iter
+    (fun w ->
+      capable.(w) <-
+        Array.init nb (fun h -> Connection.capable conn cdfg ~bus:h w))
+    io_ops;
   {
     cdfg;
     conn;
     rate;
     dynamic;
     budget;
+    io_ops;
+    value_ids = (Io_table.make cdfg).Io_table.value;
+    capable;
+    used = Array.make nb 0;
     alloc = Hashtbl.create 64;
     tentative;
     committed = Hashtbl.create 64;
@@ -50,24 +73,18 @@ let create ?(budget = Mcs_resilience.Budget.unlimited) cdfg conn ~rate ~initial
 
 let group t cstep = ((cstep mod t.rate) + t.rate) mod t.rate
 
-let free_groups t h =
-  let used = ref 0 in
-  for g = 0 to t.rate - 1 do
-    if Hashtbl.mem t.alloc (h, g) then incr used
-  done;
-  t.rate - !used
+let free_groups t h = t.rate - t.used.(h)
 
 (* Slot admissibility of bus [h] for [op] at [cstep]: wide-enough ports and
    either a free group or a same-value slot at the very same step. *)
 let slot_status t op ~cstep h =
-  if not (Connection.capable t.conn t.cdfg ~bus:h op) then `No
+  if not t.capable.(op).(h) then `No
   else
     match Hashtbl.find_opt t.alloc (h, group t cstep) with
     | None -> `Free
     | Some e ->
         if
-          String.equal e.value (Cdfg.io_value t.cdfg op)
-          && e.at_cstep = cstep
+          e.vid = t.value_ids.(op) && e.at_cstep = cstep
         then `Share
         else `No
 
@@ -81,24 +98,19 @@ let slot_status t op ~cstep h =
    capable bus, individual vertices otherwise. *)
 let repack t ~except ~consumed_bus =
   M.incr m_repacks;
-  let ops =
-    List.filter
-      (fun w -> (not (Hashtbl.mem t.committed w)) && w <> except)
-      (Cdfg.io_ops t.cdfg)
-  in
   let nb = Connection.n_buses t.conn in
-  let capable h w = Connection.capable t.conn t.cdfg ~bus:h w in
+  let capable h w = t.capable.(w).(h) in
   let all_buses = Mcs_util.Listx.range 0 nb in
   (* Operations transferring [except]'s value can ride the slot [except] is
      about to claim (same bus, same step), so they demand nothing. *)
-  let except_value = Cdfg.io_value t.cdfg except in
+  let except_value = t.value_ids.(except) in
   let ops =
     List.filter
       (fun w ->
-        not
-          (String.equal (Cdfg.io_value t.cdfg w) except_value
-          && capable consumed_bus w))
-      ops
+        (not (Hashtbl.mem t.committed w))
+        && w <> except
+        && not (t.value_ids.(w) = except_value && capable consumed_bus w))
+      t.io_ops
   in
   (* Demand groups: (member ops, buses usable by the whole group). *)
   let demands =
@@ -108,49 +120,39 @@ let repack t ~except ~consumed_bus =
         if common <> [] && List.length members > 1 then [ (members, common) ]
         else
           List.map (fun w -> ([ w ], List.filter (fun h -> capable h w) all_buses)) members)
-      (Mcs_util.Listx.group_by (Cdfg.io_value t.cdfg) ops)
+      (Mcs_util.Listx.group_by (fun w -> t.value_ids.(w)) ops)
   in
   let demands = Array.of_list demands in
-  (* Unit capacities: one right vertex per free group per bus. *)
-  let units = ref [] in
-  for h = nb - 1 downto 0 do
-    let f = free_groups t h - (if h = consumed_bus then 1 else 0) in
-    for _ = 1 to f do
-      units := h :: !units
-    done
+  (* Unit capacities: one right vertex per free group per bus, bus by bus;
+     bus h's units are [first.(h)] to [first.(h + 1) - 1]. *)
+  let first = Array.make (nb + 1) 0 in
+  for h = 0 to nb - 1 do
+    let f = free_groups t h - if h = consumed_bus then 1 else 0 in
+    first.(h + 1) <- first.(h) + max 0 f
   done;
-  let units = Array.of_list !units in
   let bip =
-    Mcs_graph.Bipartite.create ~n_left:(Array.length demands)
-      ~n_right:(Array.length units)
+    Mcs_graph.Bipartite.create ~n_left:(Array.length demands) ~n_right:first.(nb)
   in
+  (* Edges in ascending unit order: the order Kuhn's search visits them. *)
   Array.iteri
     (fun i (_, buses) ->
-      Array.iteri
-        (fun j h -> if List.mem h buses then Mcs_graph.Bipartite.add_edge bip ~left:i ~right:j)
-        units)
+      List.iter
+        (fun h ->
+          for j = first.(h) to first.(h + 1) - 1 do
+            Mcs_graph.Bipartite.add_edge bip ~left:i ~right:j
+          done)
+        buses)
     demands;
   (* Seed with the current tentative assignment so the repacking moves as
-     few operations as possible; augmenting paths fix the rest. *)
-  let seen = Hashtbl.create 16 in
+     few operations as possible; augmenting paths fix the rest.  Each
+     demand takes the next unseeded unit of its bus. *)
+  let cursor = Array.sub first 0 nb in
   Array.iteri
     (fun i (members, buses) ->
-      let h0 =
-        match members with
-        | w :: _ -> Hashtbl.find_opt t.tentative w
-        | [] -> None
-      in
-      match h0 with
-      | Some h0 when List.mem h0 buses ->
-          let j = ref (-1) in
-          Array.iteri
-            (fun k h ->
-              if !j < 0 && h = h0 && not (Hashtbl.mem seen k) then j := k)
-            units;
-          if !j >= 0 then begin
-            Hashtbl.add seen !j ();
-            Mcs_graph.Bipartite.force_pair bip ~left:i ~right:!j
-          end
+      match Hashtbl.find_opt t.tentative (List.hd members) with
+      | Some h0 when List.mem h0 buses && cursor.(h0) < first.(h0 + 1) ->
+          Mcs_graph.Bipartite.force_pair bip ~left:i ~right:cursor.(h0);
+          cursor.(h0) <- cursor.(h0) + 1
       | _ -> ())
     demands;
   (* Exhaustion propagates out of the io_hook; List_sched.run converts it
@@ -164,9 +166,11 @@ let repack t ~except ~consumed_bus =
     Some
       (List.concat
          (List.mapi
-            (fun i (members, _) ->
+            (fun i (members, buses) ->
               match Mcs_graph.Bipartite.match_of_left bip i with
-              | Some j -> List.map (fun w -> (w, units.(j))) members
+              | Some j ->
+                  let h = List.find (fun h -> j < first.(h + 1)) buses in
+                  List.map (fun w -> (w, h)) members
               | None -> assert false)
             (Array.to_list demands)))
 
@@ -240,8 +244,14 @@ let hook t =
     (match Hashtbl.find_opt t.alloc (p.plan_bus, g) with
     | Some e -> e.entry_ops <- e.entry_ops @ [ op ]
     | None ->
+        t.used.(p.plan_bus) <- t.used.(p.plan_bus) + 1;
         Hashtbl.add t.alloc (p.plan_bus, g)
-          { value = Cdfg.io_value t.cdfg op; at_cstep = cstep; entry_ops = [ op ] });
+          {
+            value = Cdfg.io_value t.cdfg op;
+            vid = t.value_ids.(op);
+            at_cstep = cstep;
+            entry_ops = [ op ];
+          });
     Hashtbl.remove t.tentative op;
     Hashtbl.replace t.committed op p.plan_bus;
     List.iter
@@ -260,7 +270,7 @@ let final_assignment t =
       match Hashtbl.find_opt t.committed op with
       | Some h -> Some (op, h)
       | None -> None)
-    (Cdfg.io_ops t.cdfg)
+    t.io_ops
 
 let allocation_table t =
   let rows = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.alloc [] in

@@ -14,6 +14,7 @@ let m_backtracks = M.counter "subbus.backtracks"
 let m_retired = M.counter "subbus.retired_buses"
 let m_node_limit = M.counter "subbus.node_limit"
 let m_refuted = M.counter "subbus.refuted"
+let m_repacks = M.counter "subbus.repacks"
 
 type sub = Lo | Hi | Whole
 
@@ -628,19 +629,41 @@ let search ?(budget = Budget.unlimited) cdfg cons ~rate ?slot_cap () =
 
 type entry = {
   e_value : string;
+  e_vid : int; (* [e_value]'s id in the hook's [Io_table] *)
   e_cstep : int;
   mutable e_ops : Types.op_id list;
 }
 
+(* Scheduling state over one bus structure.  The buses do not change while
+   scheduling, so the capability table is built once per hook; occupancy,
+   slots and the unscheduled list change only at a commit ([occupy]). *)
 type sched_state = {
+  ss_cdfg : Cdfg.t;
   ss_real : real_bus array;
   ss_rate : int;
-  (* Occupancy per (bus, half, group); a Whole value holds both halves with
-     the same entry. *)
-  halves : (int * sub * int, entry) Hashtbl.t;
-  ss_tentative : (Types.op_id, int * sub) Hashtbl.t;
-  ss_committed : (Types.op_id, int * sub) Hashtbl.t;
+  ss_value : int array; (* per op id: value id *)
+  ss_cap : int array array;
+      (* per op id and bus: the slices the op is capable of, as bits of
+         [slice_bit] *)
+  ss_occ : entry option array;
+      (* per (bus, half, group), indexed by [cell]; a Whole value holds
+         both halves with the same entry *)
+  ss_tentative : (int * sub) option array; (* per op id, until committed *)
+  ss_committed : (int * sub) option array; (* per op id *)
+  mutable ss_unscheduled : Types.op_id list; (* I/O ops not committed *)
   ss_budget : Budget.t;
+  (* Scratch for [repack]: per value id, the call that last saw it and
+     its members; per unit class, its free units, the demands seated there
+     and a visited mark; per demand, its class and, per bus, the kinds it
+     can take. *)
+  ss_seen : int array;
+  mutable ss_stamp : int;
+  ss_members : Types.op_id list array;
+  ss_free : int array;
+  ss_load : int array;
+  ss_visited : bool array;
+  ss_seat : int array;
+  ss_dcap : int array;
 }
 
 let slices_of (rb : real_bus) =
@@ -663,262 +686,338 @@ let rb_capable cdfg (rb : real_bus) op slice =
   && port (Cdfg.io_src cdfg op) >= need
   && port (Cdfg.io_dst cdfg op) >= need
 
-let halves_of slice = match slice with Lo -> [ Lo ] | Hi -> [ Hi ] | Whole -> [ Lo; Hi ]
+(* Half indices: 0 for Lo, 1 for Hi. *)
+let halves_of = function Lo -> [ 0 ] | Hi -> [ 1 ] | Whole -> [ 0; 1 ]
+let group rate cstep = ((cstep mod rate) + rate) mod rate
+let cell st i h g = (((2 * i) + h) * st.ss_rate) + g
 
-let slot_admissible st cdfg op ~cstep (i, slice) =
-  let g = ((cstep mod st.ss_rate) + st.ss_rate) mod st.ss_rate in
-  let value = Cdfg.io_value cdfg op in
+let make_state ~budget cdfg ~rate real assignment =
+  let io = IO.make cdfg in
+  let real = Array.of_list real in
+  let nb = Array.length real and n_ops = Cdfg.n_ops cdfg in
+  let cap = Array.make_matrix n_ops nb 0 in
+  List.iter
+    (fun w ->
+      Array.iteri
+        (fun i rb ->
+          List.iter
+            (fun slice ->
+              if rb_capable cdfg rb w slice then
+                cap.(w).(i) <- cap.(w).(i) lor slice_bit slice)
+            [ Lo; Hi; Whole ])
+        real)
+    io.IO.ops;
+  let tentative = Array.make n_ops None in
+  List.iter (fun (op, slot) -> tentative.(op) <- Some slot) assignment;
+  let n_io = List.length io.IO.ops in
+  {
+    ss_cdfg = cdfg;
+    ss_real = real;
+    ss_rate = rate;
+    ss_value = io.IO.value;
+    ss_cap = cap;
+    ss_occ = Array.make (2 * nb * rate) None;
+    ss_tentative = tentative;
+    ss_committed = Array.make n_ops None;
+    ss_unscheduled = Cdfg.io_ops cdfg;
+    ss_budget = budget;
+    ss_seen = Array.make io.IO.n_values 0;
+    ss_stamp = 0;
+    ss_members = Array.make io.IO.n_values [];
+    ss_free = Array.make (3 * nb) 0;
+    ss_load = Array.make (3 * nb) 0;
+    ss_visited = Array.make (3 * nb) false;
+    ss_seat = Array.make n_io 0;
+    ss_dcap = Array.make (n_io * nb) 0;
+  }
+
+let capable st op (i, slice) = st.ss_cap.(op).(i) land slice_bit slice <> 0
+
+let slot_admissible st op ~cstep (i, slice) =
+  let g = group st.ss_rate cstep in
   List.for_all
     (fun h ->
-      match Hashtbl.find_opt st.halves (i, h, g) with
+      match st.ss_occ.(cell st i h g) with
       | None -> true
-      | Some e -> String.equal e.e_value value && e.e_cstep = cstep)
+      | Some e -> e.e_vid = st.ss_value.(op) && e.e_cstep = cstep)
     (halves_of slice)
+
+(* The one commit path of both hooks: [op] takes [slot] at [cstep], joining
+   the entry already on one of its halves or opening a new one. *)
+let occupy st op ~cstep ((i, slice) as slot) =
+  let g = group st.ss_rate cstep and halves = halves_of slice in
+  let entry =
+    match List.find_map (fun h -> st.ss_occ.(cell st i h g)) halves with
+    | Some e ->
+        e.e_ops <- e.e_ops @ [ op ];
+        e
+    | None ->
+        {
+          e_value = Cdfg.io_value st.ss_cdfg op;
+          e_vid = st.ss_value.(op);
+          e_cstep = cstep;
+          e_ops = [ op ];
+        }
+  in
+  List.iter
+    (fun h ->
+      let c = cell st i h g in
+      if Option.is_none st.ss_occ.(c) then st.ss_occ.(c) <- Some entry)
+    halves;
+  st.ss_tentative.(op) <- None;
+  st.ss_committed.(op) <- Some slot;
+  st.ss_unscheduled <- List.filter (fun w -> w <> op) st.ss_unscheduled
 
 (* Capacity lookahead for the dynamic hook: after [except] takes [slot] at
    [cstep], can every remaining unscheduled I/O operation still be packed
    onto the free sub-slots?  Unsplit buses yield full-width units; split
    buses also yield half units.  Same-value operations able to ride the
    consumed slot demand nothing; other same-value groups with a common
-   capable slice demand one unit. *)
-let sub_repack st cdfg ~rate ~except ~slot:(si, sslice) ~cstep unscheduled =
-  let g_w = ((cstep mod rate) + rate) mod rate in
-  let occupied i h g =
-    Hashtbl.mem st.halves (i, h, g)
-    || (i = si && g = g_w && List.mem h (halves_of sslice))
-  in
-  let nb = Array.length st.ss_real in
-  let units = ref [] in
+   capable bus demand one unit.  The answer is whether a maximum matching
+   of demands to units covers every demand; its size does not depend on
+   the order the vertices are visited in. *)
+let repack st ~except ~slot:(si, sslice) ~cstep =
+  M.incr m_repacks;
+  let rate = st.ss_rate and nb = Array.length st.ss_real in
+  (* Units of one bus and kind are interchangeable, so they are counted
+     per class 3i + k: bus i, kind k = 0 for the Lo half alone, 1 for the
+     Hi half alone, 2 for a whole free slot (any capable slice fits it). *)
+  let n_classes = 3 * nb and free = st.ss_free in
+  Array.fill free 0 n_classes 0;
+  let g_w = group rate cstep and taken = halves_of sslice in
+  let n_units = ref 0 in
   for i = 0 to nb - 1 do
     for g = 0 to rate - 1 do
-      match (occupied i Lo g, occupied i Hi g) with
-      | false, false -> units := `Full i :: !units
-      | false, true -> units := `Half (i, Lo) :: !units
-      | true, false -> units := `Half (i, Hi) :: !units
-      | true, true -> ()
+      let busy h =
+        Option.is_some st.ss_occ.(cell st i h g)
+        || (i = si && g = g_w && List.mem h taken)
+      in
+      let k =
+        match (busy 0, busy 1) with
+        | false, false -> 2
+        | false, true -> 0
+        | true, false -> 1
+        | true, true -> -1
+      in
+      if k >= 0 then begin
+        free.((3 * i) + k) <- free.((3 * i) + k) + 1;
+        incr n_units
+      end
     done
   done;
-  let units = Array.of_list !units in
-  let cap_any op i =
-    List.exists (fun sl -> rb_capable cdfg st.ss_real.(i) op sl)
-      (slices_of st.ss_real.(i))
+  (* Demands, grouped by value.  Bit k of a demand's [dcap] on bus i: every
+     member can take a unit of class 3i + k. *)
+  st.ss_stamp <- st.ss_stamp + 1;
+  let stamp = st.ss_stamp and values = ref [] in
+  let except_vid = st.ss_value.(except) in
+  List.iter
+    (fun w ->
+      let v = st.ss_value.(w) in
+      if
+        w <> except
+        && not (v = except_vid && st.ss_cap.(w).(si) land slice_bit sslice <> 0)
+      then begin
+        if st.ss_seen.(v) <> stamp then begin
+          st.ss_seen.(v) <- stamp;
+          st.ss_members.(v) <- [];
+          values := v :: !values
+        end;
+        st.ss_members.(v) <- w :: st.ss_members.(v)
+      end)
+    st.ss_unscheduled;
+  let n_dem = ref 0 in
+  let demand members =
+    let base = !n_dem * nb in
+    for i = 0 to nb - 1 do
+      let all = ref 7 in
+      List.iter
+        (fun w ->
+          let m = st.ss_cap.(w).(i) in
+          all := !all land ((m land 3) lor if m <> 0 then 4 else 0))
+        members;
+      st.ss_dcap.(base + i) <- !all
+    done;
+    incr n_dem
   in
-  let cap_unit op = function
-    | `Full i -> cap_any op i
-    | `Half (i, h) -> rb_capable cdfg st.ss_real.(i) op h
-  in
-  let except_value = Cdfg.io_value cdfg except in
-  let ops =
-    List.filter
-      (fun w ->
-        not
-          (String.equal (Cdfg.io_value cdfg w) except_value
-          && rb_capable cdfg st.ss_real.(si) w sslice))
-      (List.filter (fun w -> w <> except) unscheduled)
-  in
-  let demands =
-    List.concat_map
-      (fun (_, members) ->
-        let common_bus =
-          List.filter
-            (fun i -> List.for_all (fun w -> cap_any w i) members)
-            (Mcs_util.Listx.range 0 nb)
-        in
-        if common_bus <> [] && List.length members > 1 then [ members ]
-        else List.map (fun w -> [ w ]) members)
-      (Mcs_util.Listx.group_by (Cdfg.io_value cdfg) ops)
-  in
-  let demands = Array.of_list demands in
-  let bip =
-    Mcs_graph.Bipartite.create ~n_left:(Array.length demands)
-      ~n_right:(Array.length units)
-  in
-  Array.iteri
-    (fun l members ->
-      Array.iteri
-        (fun r u ->
-          if List.for_all (fun w -> cap_unit w u) members then
-            Mcs_graph.Bipartite.add_edge bip ~left:l ~right:r)
-        units)
-    demands;
-  Mcs_graph.Bipartite.max_matching ~budget:st.ss_budget bip
-  = Array.length demands
-
-let subbus_hook ?(budget = Budget.unlimited) cdfg ~rate real assignment =
-  let st =
-    {
-      ss_real = Array.of_list real;
-      ss_rate = rate;
-      halves = Hashtbl.create 64;
-      ss_tentative = Hashtbl.create 64;
-      ss_committed = Hashtbl.create 64;
-      ss_budget = budget;
-    }
+  let common_bus members =
+    let rec on i =
+      i < nb
+      && (List.for_all (fun w -> st.ss_cap.(w).(i) <> 0) members
+         || on (i + 1))
+    in
+    on 0
   in
   List.iter
-    (fun (op, slot) -> Hashtbl.replace st.ss_tentative op slot)
-    assignment;
-  let candidates op ~cstep =
-    let unscheduled =
-      List.filter
-        (fun w -> not (Hashtbl.mem st.ss_committed w))
-        (Cdfg.io_ops cdfg)
-    in
-    let all =
-      List.concat
-        (List.mapi
-           (fun i rb ->
-             List.filter_map
-               (fun slice ->
-                 if
-                   rb_capable cdfg rb op slice
-                   && slot_admissible st cdfg op ~cstep (i, slice)
-                   && sub_repack st cdfg ~rate ~except:op ~slot:(i, slice)
-                        ~cstep unscheduled
-                 then Some (i, slice)
-                 else None)
-               (slices_of rb))
-           (Array.to_list st.ss_real))
-    in
-    match Hashtbl.find_opt st.ss_tentative op with
-    | Some slot when List.mem slot all ->
-        slot :: List.filter (fun s -> s <> slot) all
-    | _ -> all
+    (fun v ->
+      match st.ss_members.(v) with
+      | _ :: _ :: _ as members when common_bus members -> demand members
+      | members -> List.iter (fun w -> demand [ w ]) members)
+    !values;
+  let n_dem = !n_dem in
+  n_dem <= !n_units
+  &&
+  (* Kuhn's augmenting search over classes.  A visit to a class makes room
+     there for the demand at hand: a free unit, or a seated demand that
+     moves on to another class. *)
+  let load = st.ss_load and visited = st.ss_visited and seat = st.ss_seat in
+  Array.fill load 0 n_classes 0;
+  Array.fill seat 0 n_dem (-1);
+  let usable l c =
+    (not visited.(c))
+    && free.(c) > 0
+    && st.ss_dcap.((l * nb) + (c / 3)) land (1 lsl (c mod 3)) <> 0
   in
-  let io_can _sched op ~cstep = candidates op ~cstep <> [] in
+  let rec augment l =
+    let rec from c =
+      c < n_classes
+      &&
+      if usable l c && (visited.(c) <- true; room c) then begin
+        seat.(l) <- c;
+        true
+      end
+      else from (c + 1)
+    in
+    from 0
+  and room c =
+    if load.(c) < free.(c) then begin
+      load.(c) <- load.(c) + 1;
+      true
+    end
+    else reseat c 0
+  and reseat c l' =
+    l' < n_dem && ((seat.(l') = c && augment l') || reseat c (l' + 1))
+  in
+  (* The first demand left uncovered decides the answer. *)
+  let rec cover l =
+    l = n_dem
+    || begin
+         Budget.spend_augment st.ss_budget;
+         Array.fill visited 0 n_classes false;
+         augment l && cover (l + 1)
+       end
+  in
+  cover 0
+
+let subbus_hook ?(budget = Budget.unlimited) cdfg ~rate real assignment =
+  let st = make_state ~budget cdfg ~rate real assignment in
+  let feasible op ~cstep slot =
+    capable st op slot
+    && slot_admissible st op ~cstep slot
+    && repack st ~except:op ~slot ~cstep
+  in
+  let slots =
+    List.concat
+      (List.mapi (fun i rb -> List.map (fun s -> (i, s)) (slices_of rb)) real)
+  in
+  (* The first feasible slot in the paper's order: the tentative one, then
+     every slice in bus order. *)
+  let first_feasible op ~cstep =
+    let tentative = st.ss_tentative.(op) in
+    match tentative with
+    | Some slot when feasible op ~cstep slot -> Some slot
+    | _ ->
+        List.find_opt
+          (fun slot -> Some slot <> tentative && feasible op ~cstep slot)
+          slots
+  in
+  (* [io_can]'s answer, for the [io_commit] that follows it. *)
+  let pending = ref None in
+  let io_can _sched op ~cstep =
+    let slot = first_feasible op ~cstep in
+    pending := Option.map (fun slot -> (op, cstep, slot)) slot;
+    Option.is_some slot
+  in
   let io_commit _sched op ~cstep =
-    match candidates op ~cstep with
-    | [] -> invalid_arg "Subbus: commit without an admissible slot"
-    | ((i, slice) as slot) :: _ ->
-        let g = ((cstep mod rate) + rate) mod rate in
-        let entry =
-          let existing =
-            List.find_map
-              (fun h -> Hashtbl.find_opt st.halves (i, h, g))
-              (halves_of slice)
-          in
-          match existing with
-          | Some e ->
-              e.e_ops <- e.e_ops @ [ op ];
-              e
-          | None ->
-              { e_value = Cdfg.io_value cdfg op; e_cstep = cstep; e_ops = [ op ] }
-        in
-        List.iter
-          (fun h ->
-            if not (Hashtbl.mem st.halves (i, h, g)) then
-              Hashtbl.add st.halves (i, h, g) entry)
-          (halves_of slice);
-        Hashtbl.remove st.ss_tentative op;
-        Hashtbl.replace st.ss_committed op slot
+    let slot =
+      match !pending with
+      | Some (op', cstep', slot) when op' = op && cstep' = cstep -> slot
+      | _ -> (
+          match first_feasible op ~cstep with
+          | Some slot -> slot
+          | None -> invalid_arg "Subbus: commit without an admissible slot")
+    in
+    pending := None;
+    occupy st op ~cstep slot
   in
   (st, { LS.io_can; io_commit })
 
 let allocation_of st =
   let rows = ref [] in
-  Hashtbl.iter
-    (fun (i, h, g) e ->
-      (* Report each entry once, on its lowest half. *)
-      let primary =
-        match h with
-        | Lo -> true
-        | Hi -> (
-            match Hashtbl.find_opt st.halves (i, Lo, g) with
-            | Some e' -> e' != e
-            | None -> true)
-        | Whole -> true
+  for i = 0 to Array.length st.ss_real - 1 do
+    for g = 0 to st.ss_rate - 1 do
+      let lo = st.ss_occ.(cell st i 0 g) and hi = st.ss_occ.(cell st i 1 g) in
+      let row slice e =
+        rows := ((i, slice, g), (e.e_value, e.e_cstep, e.e_ops)) :: !rows
       in
-      if primary then
-        rows := ((i, h, g), (e.e_value, e.e_cstep, e.e_ops)) :: !rows)
-    st.halves;
+      (* Report each entry once, on its lowest half. *)
+      Option.iter (row Lo) lo;
+      match (lo, hi) with
+      | Some e, Some e' when e == e' -> ()
+      | _, hi -> Option.iter (row Hi) hi
+    done
+  done;
   List.sort compare !rows
 
 let schedule_over ?(budget = Budget.unlimited) cdfg mlib cons ~rate ~dynamic
     (real, assignment) =
   let st, hook = subbus_hook ~budget cdfg ~rate real assignment in
   let hook =
-        if dynamic then hook
-        else
-          (* Static baseline: only the initially assigned slice counts. *)
-          {
-            LS.io_can =
-              (fun _ op ~cstep ->
-                match Hashtbl.find_opt st.ss_tentative op with
-                | Some ((i, slice) as _slot) ->
-                    rb_capable cdfg st.ss_real.(i) op slice
-                    && slot_admissible st cdfg op ~cstep (i, slice)
-                | None -> false);
-            io_commit =
-              (fun sched op ~cstep ->
-                match Hashtbl.find_opt st.ss_tentative op with
-                | Some (i, slice) ->
-                    ignore sched;
-                    let g = ((cstep mod rate) + rate) mod rate in
-                    let entry =
-                      match
-                        List.find_map
-                          (fun h -> Hashtbl.find_opt st.halves (i, h, g))
-                          (halves_of slice)
-                      with
-                      | Some e ->
-                          e.e_ops <- e.e_ops @ [ op ];
-                          e
-                      | None ->
-                          {
-                            e_value = Cdfg.io_value cdfg op;
-                            e_cstep = cstep;
-                            e_ops = [ op ];
-                          }
-                    in
-                    List.iter
-                      (fun h ->
-                        if not (Hashtbl.mem st.halves (i, h, g)) then
-                          Hashtbl.add st.halves (i, h, g) entry)
-                      (halves_of slice);
-                    Hashtbl.remove st.ss_tentative op;
-                    Hashtbl.replace st.ss_committed op (i, slice)
-                | None -> invalid_arg "Subbus: static commit without slot");
-          }
+    if dynamic then hook
+    else
+      (* Static baseline: only the initially assigned slice counts. *)
+      {
+        LS.io_can =
+          (fun _ op ~cstep ->
+            match st.ss_tentative.(op) with
+            | Some slot -> capable st op slot && slot_admissible st op ~cstep slot
+            | None -> false);
+        io_commit =
+          (fun _ op ~cstep ->
+            match st.ss_tentative.(op) with
+            | Some slot -> occupy st op ~cstep slot
+            | None -> invalid_arg "Subbus: static commit without slot");
+      }
+  in
+  match
+    Mcs_obs.Trace.with_span "ch6.schedule" (fun () ->
+        LS.run ~budget cdfg mlib cons ~rate ~io_hook:hook ())
+  with
+  | Error f -> (
+      match f.LS.kind with
+      | LS.Exhausted e ->
+          (* Budget exhaustion is not a property of this bus structure:
+             surface it typed so the caller's ladder stops the sweep. *)
+          raise (Budget.Out_of_budget e)
+      | _ ->
+          if Log.enabled Log.Debug then
+            List.iter
+              (fun op ->
+                if not (Mcs_sched.Schedule.is_scheduled f.LS.partial op)
+                then Log.debug "[subbus] unscheduled: %s" (Cdfg.name cdfg op))
+              (Cdfg.ops cdfg);
+          Error
+            (Printf.sprintf "scheduling failed at cstep %d: %s"
+               f.LS.at_cstep f.LS.reason))
+  | Ok schedule ->
+      let pins =
+        Mcs_connect.Pins.tally ~n_partitions:(Cdfg.n_partitions cdfg)
+          (List.concat_map (fun (rb : real_bus) -> rb.ports) real)
       in
-      match
-        Mcs_obs.Trace.with_span "ch6.schedule" (fun () ->
-            LS.run ~budget cdfg mlib cons ~rate ~io_hook:hook ())
-      with
-      | Error f -> (
-          match f.LS.kind with
-          | LS.Exhausted e ->
-              (* Budget exhaustion is not a property of this bus structure:
-                 surface it typed so the caller's ladder stops the sweep. *)
-              raise (Budget.Out_of_budget e)
-          | _ ->
-              if Log.enabled Log.Debug then
-                List.iter
-                  (fun op ->
-                    if not (Mcs_sched.Schedule.is_scheduled f.LS.partial op)
-                    then Log.debug "[subbus] unscheduled: %s" (Cdfg.name cdfg op))
-                  (Cdfg.ops cdfg);
-              Error
-                (Printf.sprintf "scheduling failed at cstep %d: %s"
-                   f.LS.at_cstep f.LS.reason))
-      | Ok schedule ->
-          let pins =
-            Mcs_connect.Pins.tally ~n_partitions:(Cdfg.n_partitions cdfg)
-              (List.concat_map (fun (rb : real_bus) -> rb.ports) real)
-          in
-          let final =
-            Hashtbl.fold (fun op slot acc -> (op, slot) :: acc) st.ss_committed []
-            |> List.sort compare
-          in
-          Ok
-            {
-              real_buses = real;
-              initial_assignment = assignment;
-              final_assignment = final;
-              allocation = allocation_of st;
-              schedule;
-              pins;
-              static_pipe_length = None;
-            }
+      let final =
+        List.filter_map
+          (fun op -> Option.map (fun slot -> (op, slot)) st.ss_committed.(op))
+          (List.init (Cdfg.n_ops cdfg) Fun.id)
+      in
+      Ok
+        {
+          real_buses = real;
+          initial_assignment = assignment;
+          final_assignment = final;
+          allocation = allocation_of st;
+          schedule;
+          pins;
+          static_pipe_length = None;
+        }
 
 let attempt ?(budget = Budget.unlimited) cdfg mlib cons ~rate ~slot_cap
     ~dynamic =

@@ -80,7 +80,13 @@ val schedule_over :
     manager run connection synthesis and scheduling as separate phases
     without re-searching.  [budget] exhaustion inside the scheduler raises
     {!Mcs_resilience.Budget.Out_of_budget} (it is not a property of this
-    bus structure); other scheduling failures return [Error]. *)
+    bus structure); other scheduling failures return [Error].
+
+    The dynamic hook decides each I/O feasibility test once: it tries the
+    tentative slice first, then every capable slice in bus order, and
+    stops at the first one after which the other unscheduled transfers
+    can still be packed onto the free sub-slots (a matching, counted in
+    [subbus.repacks]); the commit that follows takes that slice. *)
 
 val attempt :
   ?budget:Mcs_resilience.Budget.t ->

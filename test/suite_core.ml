@@ -584,10 +584,9 @@ let test_slot_capacity_golden () =
         | Error _ -> ())
     (Golden_connect.cases ())
 
-(* Generated general and simple partitionings at rates 2-4, at every slot
-   cap, under budgets from generous down to 40% of a dedicated bus per
-   value. *)
-let prop_slot_capacity =
+(* Generated general and simple partitionings at rates 2-4, under budgets
+   from generous down to 40% of a dedicated bus per value. *)
+let arb_generated =
   let gen =
     QCheck.Gen.(
       map
@@ -603,26 +602,56 @@ let prop_slot_capacity =
           (name, rate, pct))
         (quad (int_bound 1_000_000) bool (int_range 2 4) (int_range 40 100)))
   in
+  QCheck.make
+    ~print:(fun (name, rate, pct) ->
+      Printf.sprintf "%s rate %d budget %d%%" name rate pct)
+    gen
+
+(* [f d cons cap] at every slot cap of a generated case. *)
+let at_every_cap (name, rate, pct) f =
+  let d = Golden_connect.resolve name in
+  let cons =
+    Golden_connect.tight_constraints d.Benchmarks.cdfg
+      (Benchmarks.constraints_for_bidir d ~rate)
+      ~pct
+  in
+  List.for_all (f d cons) (Mcs_util.Listx.range 1 (rate + 1))
+
+let prop_slot_capacity =
   QCheck.Test.make ~name:"Ch. 6 searches obey the line-slot capacity bound"
-    ~count:40
-    (QCheck.make
-       ~print:(fun (name, rate, pct) ->
-         Printf.sprintf "%s rate %d budget %d%%" name rate pct)
-       gen)
-    (fun (name, rate, pct) ->
-      let d = Golden_connect.resolve name in
-      let cdfg = d.Benchmarks.cdfg in
-      let cons =
-        Golden_connect.tight_constraints cdfg
-          (Benchmarks.constraints_for_bidir d ~rate)
-          ~pct
-      in
-      List.for_all
-        (fun cap ->
+    ~count:40 arb_generated (fun ((_, rate, _) as case) ->
+      at_every_cap case (fun d cons cap ->
+          let cdfg = d.Benchmarks.cdfg in
           match Subbus.search cdfg cons ~rate ~slot_cap:cap () with
           | Ok (real, _) -> slot_capacity_violations cdfg real = []
-          | Error _ -> true)
-        (Mcs_util.Listx.range 1 (rate + 1)))
+          | Error _ -> true))
+
+(* The sub-slot hooks, dynamic and static, schedule, assign and allocate
+   exactly as the from-scratch reference does. *)
+let prop_subbus_oracle =
+  QCheck.Test.make
+    ~name:"Ch. 6 sub-slot hooks match the from-scratch reference" ~count:40
+    arb_generated (fun ((_, rate, _) as case) ->
+      at_every_cap case (fun d cons cap ->
+          let cdfg = d.Benchmarks.cdfg and mlib = d.Benchmarks.mlib in
+          match Subbus.search cdfg cons ~rate ~slot_cap:cap () with
+          | Error _ -> true
+          | Ok ra ->
+              List.for_all
+                (fun dynamic ->
+                  let got =
+                    match Subbus.schedule_over cdfg mlib cons ~rate ~dynamic ra with
+                    | Ok t ->
+                        Ok
+                          ( List.map
+                              (Mcs_sched.Schedule.cstep t.Subbus.schedule)
+                              (Cdfg.ops cdfg),
+                            t.Subbus.final_assignment,
+                            t.Subbus.allocation )
+                    | Error m -> Error m
+                  in
+                  got = Subbus_oracle.schedule cdfg mlib cons ~rate ~dynamic ra)
+                [ true; false ]))
 
 (* ar-general at rate 3: caps 2 and 1 break the bound on partitions 0 and
    1 (260 bits of distinct values against 2 x 116 pins, 208 against
@@ -661,6 +690,10 @@ let test_golden_subbus () =
     | Golden_connect.Ch6 -> true
     | Golden_connect.Ch4 _ -> false)
 
+(* Control steps, final assignment, allocation table and I/O test count of
+   every Ch. 4 and Ch. 6 schedule in the golden schedule fixture. *)
+let test_golden_sched () = Golden_sched.check ()
+
 let extra_tests =
   [
     Alcotest.test_case "Improve never worsens the pipe" `Slow test_improve_never_worse;
@@ -672,6 +705,9 @@ let extra_tests =
     Alcotest.test_case "golden Ch. 6 searches obey the line-slot bound" `Quick
       test_slot_capacity_golden;
     QCheck_alcotest.to_alcotest prop_slot_capacity;
+    Alcotest.test_case "golden Ch. 4/6 schedule records" `Quick
+      test_golden_sched;
+    QCheck_alcotest.to_alcotest prop_subbus_oracle;
   ]
 
 let suite = ("core", base_tests @ extra_tests)
