@@ -53,8 +53,8 @@ module Diag = Mcs_flow.Diag
 (* Every full-flow experiment goes through the unified checked pipeline:
    one entry point, typed diagnostics, and (with MCS_CHECK=warn/strict)
    the static analyzer auditing each regenerated table.  The direct
-   algorithm calls further down (Bechamel, the ILP study) deliberately
-   bypass it: they time one algorithm, not a pipeline. *)
+   algorithm calls further down (most Bechamel tests, the ILP study)
+   deliberately bypass it: they time one algorithm, not a pipeline. *)
 let run_flow ?pipe_length flow d ~rate ~mode =
   attempt (fun () ->
       match
@@ -246,11 +246,6 @@ let ch5_compare tag (d : Benchmarks.design) mode =
   let parts =
     Mcs_util.Listx.range 0 (Cdfg.n_partitions d.Benchmarks.cdfg + 1)
   in
-  let cons_of rate =
-    match mode with
-    | C.Unidir -> Benchmarks.constraints_for d ~rate
-    | C.Bidir -> Benchmarks.constraints_for_bidir d ~rate
-  in
   let rows =
     List.map
       (fun rate ->
@@ -260,14 +255,13 @@ let ch5_compare tag (d : Benchmarks.design) mode =
             (* The paper's parenthesized figures: the same flow after
                postponement/rerun improvement. *)
             let improved =
+              let s = F.spec_of_design ~mode ~flow:F.Ch4 d ~rate in
               match
                 attempt (fun () ->
-                    Improve.pre_connect d.Benchmarks.cdfg d.Benchmarks.mlib
-                      (cons_of rate) ~rate ~mode ())
+                    Improve.pre_connect s.F.cdfg s.F.mlib s.F.cons ~rate ~mode
+                      ())
               with
-              | Ok b ->
-                  Printf.sprintf "(%d)"
-                    (Sched.pipe_length b.Pre_connect.schedule)
+              | Ok sched -> Printf.sprintf "(%d)" (Sched.pipe_length sched)
               | Error _ -> "(-)"
             in
             string_of_int rate
@@ -1364,7 +1358,7 @@ let bechamel () =
       Test.make ~name:"ch5-clique-partitioning(ar,rate4,pl9)"
         (Staged.stage (fun () ->
              ignore
-               (Post_connect.run_design ar ~rate:4 ~pipe_length:9 ~mode:C.Bidir)));
+               (run_flow F.Ch5 ar ~rate:4 ~pipe_length:9 ~mode:C.Bidir)));
       Test.make ~name:"simplex(20x40,rational)"
         (Staged.stage (fun () ->
              let module R = Mcs_util.Ratio in

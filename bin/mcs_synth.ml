@@ -326,8 +326,7 @@ let synth design flow rate pipe_length ports check strict deadline_ms
               match flow_name with
               | F.Ch3 -> C.Unidir
               | F.Ch6 -> C.Bidir
-              | F.Ch4 | F.Ch5 ->
-                  if ports = "bidir" then C.Bidir else C.Unidir
+              | F.Ch4 | F.Ch5 -> ports
             in
             let level =
               if strict then Pass.Strict
@@ -930,7 +929,9 @@ let pipe_length =
          ~doc:"Pipe length for the ch5 flow (default: the critical path).")
 
 let ports =
-  Arg.(value & opt string "unidir" & info [ "ports" ] ~docv:"MODE"
+  Arg.(value
+       & opt (enum [ ("unidir", C.Unidir); ("bidir", C.Bidir) ]) C.Unidir
+       & info [ "ports" ] ~docv:"MODE"
          ~doc:"I/O port mode: unidir or bidir.")
 
 let listing =

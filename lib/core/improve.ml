@@ -1,5 +1,4 @@
 open Mcs_cdfg
-module C = Mcs_connect.Connection
 module H = Mcs_connect.Heuristic
 module R = Mcs_connect.Reassign
 module LS = Mcs_sched.List_sched
@@ -33,24 +32,16 @@ let pre_connect cdfg mlib cons ~rate ~mode ?(trials = 12) () =
   let n = Cdfg.n_ops cdfg in
   let first_err = ref "" in
   let best = ref None in
-  let consider (t : Pre_connect.t) =
-    let len = Mcs_sched.Schedule.pipe_length t.Pre_connect.schedule in
+  let consider schedule =
+    let len = Mcs_sched.Schedule.pipe_length schedule in
     match !best with
     | Some (l, _) when l <= len -> ()
-    | _ -> best := Some (len, t)
+    | _ -> best := Some (len, schedule)
   in
   let try_cap slot_cap =
     match H.search cdfg cons ~rate ~mode ~slot_cap () with
     | Error e -> if !first_err = "" then first_err := H.error_message e
     | Ok res ->
-        let pins = Mcs_connect.Pins.of_connection res.H.conn in
-        let static_pipe_length = ref None in
-        (let st =
-           R.create cdfg res.H.conn ~rate ~initial:res.H.assign ~dynamic:false
-         in
-         match LS.run cdfg mlib cons ~rate ~io_hook:(R.hook st) () with
-         | Ok s -> static_pipe_length := Some (Mcs_sched.Schedule.pipe_length s)
-         | Error _ -> ());
         List.iter
           (fun trial ->
             let dyn =
@@ -65,18 +56,7 @@ let pre_connect cdfg mlib cons ~rate ~mode ?(trials = 12) () =
             with
             | Error f ->
                 if !first_err = "" then first_err := f.LS.reason
-            | Ok schedule ->
-                consider
-                  {
-                    Pre_connect.connection = res.H.conn;
-                    initial_assignment = res.H.assign;
-                    final_assignment = R.final_assignment dyn;
-                    allocation = R.allocation_table dyn;
-                    schedule;
-                    pins;
-                    static_pipe_length = !static_pipe_length;
-                    slot_cap;
-                  })
+            | Ok schedule -> consider schedule)
           (Mcs_util.Listx.range 0 trials)
   in
   let rec caps c = if c < 1 then () else begin
@@ -87,10 +67,8 @@ let pre_connect cdfg mlib cons ~rate ~mode ?(trials = 12) () =
   in
   caps rate;
   match !best with
-  | Some (_, t) -> Ok t
+  | Some (_, schedule) -> Ok schedule
   | None ->
       Error
         (Printf.sprintf "no perturbation found a schedule (first: %s)"
            !first_err)
-
-let rescue = pre_connect

@@ -5,14 +5,12 @@
     postponing some of the operations" — the authors did this by hand,
     constraining operations and rerunning; §8.2 lists replacing the greedy
     list scheduler as future work.  This module mechanizes the trick:
-
-    - {!pre_connect}: run the Chapter 4 flow, then retry the scheduling
-      phase with deterministic priority perturbations and with targeted
-      postponement floors on late-critical operations, keeping the shortest
-      valid schedule found;
-    - {!rescue}: when the plain greedy run fails outright (the elliptic
-      filter at its minimum rate), search the perturbations for any valid
-      schedule. *)
+    {!pre_connect} runs the Chapter 4 connection search, then retries the
+    scheduling phase with deterministic priority perturbations and with
+    targeted postponement floors on late-critical operations, keeping the
+    shortest valid schedule found.  It also recovers where the plain
+    greedy run fails outright (the elliptic filter at its minimum rate):
+    it succeeds whenever any perturbation schedules. *)
 
 open Mcs_cdfg
 
@@ -24,18 +22,7 @@ val pre_connect :
   mode:Mcs_connect.Connection.mode ->
   ?trials:int ->
   unit ->
-  (Pre_connect.t, string) result
-(** Like {!Pre_connect.run} but returns the best-of-[trials] (default 12)
-    schedule over the same interchip connection. *)
-
-val rescue :
-  Cdfg.t ->
-  Module_lib.t ->
-  Constraints.t ->
-  rate:int ->
-  mode:Mcs_connect.Connection.mode ->
-  ?trials:int ->
-  unit ->
-  (Pre_connect.t, string) result
-(** Alias of {!pre_connect} emphasizing the failure-recovery use: succeeds
-    whenever any perturbation schedules. *)
+  (Mcs_sched.Schedule.t, string) result
+(** The best-of-[trials] (default 12) schedule over the interchip
+    connection of the loosest per-bus value cap that schedules at all, the
+    cap sweep of the Chapter 4 flow. *)

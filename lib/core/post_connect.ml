@@ -2,14 +2,6 @@ open Mcs_cdfg
 module C = Mcs_connect.Connection
 module Sched = Mcs_sched.Schedule
 
-type t = {
-  schedule : Mcs_sched.Schedule.t;
-  connection : C.t;
-  assignment : (Types.op_id * int) list;
-  pins : (int * int) list;
-  fus : ((int * string) * int) list;
-}
-
 let endpoints cdfg ~mode w =
   let s = Cdfg.io_src cdfg w and d = Cdfg.io_dst cdfg w in
   match mode with
@@ -103,28 +95,3 @@ let connection_of_cliques cdfg ~mode cls =
         members)
     cls;
   (conn, List.sort compare !assignment)
-
-let run cdfg mlib ~rate ~pipe_length ~mode () =
-  match
-    Mcs_obs.Trace.with_span "ch5.fds" (fun () ->
-        Mcs_sched.Fds.run cdfg mlib ~rate ~pipe_length ())
-  with
-  | Error e -> Error (Mcs_sched.Fds.error_message cdfg e)
-  | Ok schedule ->
-      let cls =
-        Mcs_obs.Trace.with_span "ch5.clique_partition" (fun () ->
-            cliques schedule ~mode)
-      in
-      let connection, assignment = connection_of_cliques cdfg ~mode cls in
-      let pins = Mcs_connect.Pins.of_connection connection in
-      Ok
-        {
-          schedule;
-          connection;
-          assignment;
-          pins;
-          fus = Mcs_sched.Fds.fu_requirements schedule;
-        }
-
-let run_design (design : Benchmarks.design) ~rate ~pipe_length ~mode =
-  run design.Benchmarks.cdfg design.Benchmarks.mlib ~rate ~pipe_length ~mode ()

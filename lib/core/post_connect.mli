@@ -6,18 +6,12 @@
     becomes a maximum-gain clique partitioning of the compatibility graph —
     NP-hard in general, but the graph's group structure (Fig. 5.1) lets the
     heuristic of Fig. 5.2 build the cliques with a series of bipartite
-    weighted matchings (Hungarian algorithm), largest groups first. *)
+    weighted matchings (Hungarian algorithm), largest groups first.
+
+    This module holds the clique partitioning; [Mcs_flow.Flow] runs the
+    schedule and then these functions. *)
 
 open Mcs_cdfg
-
-type t = {
-  schedule : Mcs_sched.Schedule.t;
-  connection : Mcs_connect.Connection.t;
-  assignment : (Types.op_id * int) list;  (** operation -> bus (clique) *)
-  pins : (int * int) list;
-  fus : ((int * string) * int) list;
-      (** functional units the FDS schedule implies *)
-}
 
 val weight :
   Cdfg.t -> mode:Mcs_connect.Connection.mode ->
@@ -49,19 +43,3 @@ val connection_of_cliques :
 (** Materialize a clique partitioning as one bus per clique, each wide
     enough for every member at both endpoints, plus the operation-to-bus
     assignment. *)
-
-val run :
-  Cdfg.t ->
-  Module_lib.t ->
-  rate:int ->
-  pipe_length:int ->
-  mode:Mcs_connect.Connection.mode ->
-  unit ->
-  (t, string) result
-
-val run_design :
-  Benchmarks.design ->
-  rate:int ->
-  pipe_length:int ->
-  mode:Mcs_connect.Connection.mode ->
-  (t, string) result

@@ -246,12 +246,12 @@ module Pin_ilp = struct
         raise (Mcs_resilience.Budget.Out_of_budget e)
 end
 
-let hook ?budget ?method_ ?arith cdfg cons ~rate =
+let hook ?budget ?arith cdfg cons ~rate =
   let committed = ref [] in
   let io_can sched op ~cstep =
     ignore sched;
     let k = cstep mod rate in
-    Pin_ilp.feasible ?budget ?method_ ?arith cdfg cons ~rate
+    Pin_ilp.feasible ?budget ?arith cdfg cons ~rate
       ~fixed:((op, k) :: !committed)
   in
   let io_commit sched op ~cstep =
@@ -418,40 +418,3 @@ module Theorem31 = struct
       (groups sched);
     !ok
 end
-
-type result = {
-  schedule : Mcs_sched.Schedule.t;
-  links : Theorem31.bundle list;
-  pins_needed : (int * int) list;
-}
-
-let run ?method_ (design : Benchmarks.design) ~rate =
-  let cdfg = design.Benchmarks.cdfg and mlib = design.Benchmarks.mlib in
-  if not (is_simple cdfg) then
-    invalid_arg "Simple_part.run: partitioning is not simple";
-  let cons = Benchmarks.constraints_for design ~rate in
-  let io_hook = hook ?method_ cdfg cons ~rate in
-  match
-    Mcs_obs.Trace.with_span "ch3.schedule" (fun () ->
-        Mcs_sched.List_sched.run cdfg mlib cons ~rate ~io_hook ())
-  with
-  | Error f ->
-      Error
-        (Printf.sprintf "scheduling failed at control step %d: %s"
-           f.Mcs_sched.List_sched.at_cstep f.Mcs_sched.List_sched.reason)
-  | Ok schedule -> (
-      let links =
-        Mcs_obs.Trace.with_span "ch3.connect" (fun () ->
-            Theorem31.connect schedule)
-      in
-      match Theorem31.check schedule links with
-      | Error m -> Error ("Theorem 3.1 connection check failed: " ^ m)
-      | Ok () ->
-          let pins_needed =
-            Mcs_connect.Pins.tally ~n_partitions:(Cdfg.n_partitions cdfg)
-              (List.map
-                 (fun (b : Theorem31.bundle) ->
-                   ((match b.owner with `Out q | `In q -> q), b.wires))
-                 links)
-          in
-          Ok { schedule; links; pins_needed })

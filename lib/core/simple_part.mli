@@ -7,7 +7,10 @@
     ordinary list scheduling with a pin-allocation feasibility checker in
     front of every I/O operation (Fig. 3.4); the checker decides an ILP
     (§3.1.1, reduced as in §3.1.2) whose variables say in which control-step
-    group each I/O operation's pins can be allocated. *)
+    group each I/O operation's pins can be allocated.
+
+    This module holds the checker ({!hook}) and the connection
+    ({!Theorem31}); [Mcs_flow.Flow] drives them. *)
 
 open Mcs_cdfg
 
@@ -48,7 +51,6 @@ end
 
 val hook :
   ?budget:Mcs_resilience.Budget.t ->
-  ?method_:[ `Branch_bound | `Gomory ] ->
   ?arith:Mcs_ilp.Fsimplex.arith ->
   Cdfg.t -> Constraints.t -> rate:int -> Mcs_sched.List_sched.io_hook
 (** The safety checker of Fig. 3.4: before an I/O operation is scheduled in
@@ -77,16 +79,3 @@ module Theorem31 : sig
       verifies no end is oversubscribed (including the A/B/C inequalities of
       the proof) — the "no communication conflict" claim of the theorem. *)
 end
-
-type result = {
-  schedule : Mcs_sched.Schedule.t;
-  links : Theorem31.bundle list;
-  pins_needed : (int * int) list;  (** per partition, pins actually used *)
-}
-
-val run :
-  ?method_:[ `Branch_bound | `Gomory ] ->
-  Benchmarks.design -> rate:int ->
-  (result, string) Stdlib.result
-(** Whole Chapter 3 flow on a simple-partitioned design.
-    @raise Invalid_argument if the design's partitioning is not simple. *)

@@ -11,7 +11,10 @@
       ports need rewiring); a value may still group both sub-buses
       ([Whole]);
     - I/O ports are bidirectional (the assumption of the Chapter 6
-      experiments). *)
+      experiments).
+
+    This module holds the two phases; [Mcs_flow.Flow] drives them (the
+    slot-cap sweep, the static baseline and the choice among caps). *)
 
 open Mcs_cdfg
 
@@ -87,30 +90,3 @@ val schedule_over :
     stops at the first one after which the other unscheduled transfers
     can still be packed onto the free sub-slots (a matching, counted in
     [subbus.repacks]); the commit that follows takes that slice. *)
-
-val attempt :
-  ?budget:Mcs_resilience.Budget.t ->
-  Cdfg.t ->
-  Module_lib.t ->
-  Constraints.t ->
-  rate:int ->
-  slot_cap:int ->
-  dynamic:bool ->
-  (t, string) result
-(** {!search} at one slot cap followed by {!schedule_over}. *)
-
-val run :
-  ?budget:Mcs_resilience.Budget.t ->
-  Cdfg.t ->
-  Module_lib.t ->
-  Constraints.t ->
-  rate:int ->
-  unit ->
-  (t, string) result
-(** Full Chapter 6 flow: connection synthesis with sub-bus sharing, then
-    list scheduling over the sub-slots with the restricted reassignment of
-    §6.2 (an I/O operation may take any capable free slice; chained
-    double-preemptions are pruned).  Retries with lower slot caps like the
-    Chapter 4 flow. *)
-
-val run_design : Benchmarks.design -> rate:int -> (t, string) result

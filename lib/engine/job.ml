@@ -31,10 +31,6 @@ type t = {
   rate : int;
   pipe_length : int option;
   refine : int;
-  mutable warm : (string * string list) list;
-      (* parent-basis payload for the cross-grid warm start; deliberately
-         NOT part of the canonical encoding — identity is the work named,
-         never the hints riding along *)
 }
 
 let name_ok s =
@@ -57,7 +53,7 @@ let make ?pipe_length ?(refine = 0) ~design ~flow ~rate () =
         (Printf.sprintf "Job.make: bad design name %S (want [A-Za-z0-9_-]+)" s)
   | _ -> ());
   let pipe_length = match flow with Ch5 -> pipe_length | _ -> None in
-  { design; flow; rate; pipe_length; refine; warm = [] }
+  { design; flow; rate; pipe_length; refine }
 
 let design_to_string = function
   | Named s -> s
@@ -148,12 +144,10 @@ let of_string s =
       let* refine = parse_refine rf in
       if pipe_length <> None && flow <> Ch5 then
         Error "pipe length is only valid for the ch5 flow"
-      else Ok { design; flow; rate; pipe_length; refine; warm = [] }
+      else Ok { design; flow; rate; pipe_length; refine }
   | _ -> Error (Printf.sprintf "not a %s encoding: %S" magic s)
 
 let equal a b = to_string a = to_string b
-let warm j = j.warm
-let set_warm j entries = j.warm <- entries
 
 let hash j =
   String.sub (Digest.to_hex (Digest.string (to_string j))) 0 12

@@ -41,11 +41,6 @@ type t = private {
           Part of the identity (a refined result is different work), but
           encoded as a trailing [|refN] field {e only when nonzero}, so
           every pre-refinement encoding and cache address is unchanged *)
-  mutable warm : (string * string list) list;
-      (** optional parent-basis payload ({!Mcs_ilp.Warm.export_all}
-          contents from a settled neighboring grid point) — a hint, {e
-          never} identity: excluded from {!to_string}/{!equal}/{!hash} so
-          cached results stay addressable whatever hints rode along *)
 }
 
 val make :
@@ -74,14 +69,6 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 val equal : t -> t -> bool
-
-val warm : t -> (string * string list) list
-val set_warm : t -> (string * string list) list -> unit
-(** Attach/read the warm-start payload.  The server's batch runner
-    imports it into the {!Mcs_ilp.Warm} registry before executing the job
-    and stores the post-run export on the {e next} job of the batch;
-    {!Pool.run} runs single-entry batches and ignores it (its jobs still
-    share the process-wide registry). *)
 
 val hash : t -> string
 (** Short (12 hex chars) content digest of the canonical encoding; used

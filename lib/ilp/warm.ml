@@ -23,10 +23,3 @@ let get key =
           None)
 
 let clear () = with_lock (fun () -> Hashtbl.reset tbl)
-
-let export_all () =
-  with_lock (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b))
-
-let import entries = List.iter (fun (k, v) -> put k v) entries

@@ -14,9 +14,7 @@
     out auxiliary variables differently, and an unknown name simply drops
     out of the preference list.  The registry is process-global and
     mutex-protected, so jobs on the {!Mcs_engine.Supervisor}'s domains
-    (a [dse] sweep's or the server's) chain bases automatically; {!export_all}/{!import}
-    move the contents explicitly where a payload has to ride along (the
-    engine's {!Mcs_engine.Job} warm payload between batch entries).
+    (a [dse] sweep's or the server's) chain bases automatically.
 
     Counters: [ilp.warm.hits] / [ilp.warm.misses] on {!get}. *)
 
@@ -28,9 +26,3 @@ val get : string -> string list option
 
 val clear : unit -> unit
 (** Drop every stored basis (bench isolation between measurements). *)
-
-val export_all : unit -> (string * string list) list
-(** The registry contents, sorted by key (deterministic). *)
-
-val import : (string * string list) list -> unit
-(** Merge exported contents in ([put] per entry). *)

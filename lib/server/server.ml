@@ -218,31 +218,19 @@ let run_entry t (e : Coalesce.entry) =
         { entry = e; outcome = Some outcome; diag = Option.map P.diag_of_flow dg }
       end
 
-(* One batch entry under the supervisor's exactly-once protocol, plus
-   the cross-grid warm-start chain: a batch runs sequentially on one
-   domain, so each entry's parent-basis payload (if any) is imported
-   before execution and the settled registry rides to the next entry.
-   The registry is process-global, so entries landing on the same domain
-   back-to-back chain even without the explicit payload. *)
+(* One batch entry under the supervisor's exactly-once protocol.  The
+   cross-grid warm start needs nothing here: the {!Mcs_ilp.Warm}
+   registry is process-global, so entries that run back-to-back chain
+   their bases through it. *)
 let exec_entry t (entries : Coalesce.entry array) i =
   let e = entries.(i) in
-  (match Job.warm e.Coalesce.job with
-  | [] -> ()
-  | ws -> Mcs_ilp.Warm.import ws);
-  let comp =
-    try run_entry t e
-    with exn ->
-      {
-        entry = e;
-        outcome = Some (crashed_outcome e.Coalesce.job (Printexc.to_string exn));
-        diag = None;
-      }
-  in
-  (if i + 1 < Array.length entries then
-     let e' = entries.(i + 1) in
-     if Job.warm e'.Coalesce.job = [] then
-       Job.set_warm e'.Coalesce.job (Mcs_ilp.Warm.export_all ()));
-  comp
+  try run_entry t e
+  with exn ->
+    {
+      entry = e;
+      outcome = Some (crashed_outcome e.Coalesce.job (Printexc.to_string exn));
+      diag = None;
+    }
 
 let push_completion t comp =
   Mutex.lock t.done_lock;

@@ -4,6 +4,7 @@
 
 open Mcs_cdfg
 open Mcs_core
+module F = Mcs_flow.Flow
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -90,41 +91,36 @@ let test_pin_ilp_gomory_agrees () =
 
 let test_ch3_flow () =
   let d = Benchmarks.ar_simple () in
-  match Simple_part.run d ~rate:2 with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      checkb "schedule valid" true (Mcs_sched.Schedule.verify r.schedule = Ok ());
-      (* Paper values: P1/P2 use 48 pins, P3/P4 use 32. *)
-      checki "P1 pins" 48 (List.assoc 1 r.pins_needed);
-      checki "P2 pins" 48 (List.assoc 2 r.pins_needed);
-      checki "P3 pins" 32 (List.assoc 3 r.pins_needed);
-      checki "P4 pins" 32 (List.assoc 4 r.pins_needed);
-      (* Theorem 3.1's own check already ran inside [run]; run it again. *)
-      checkb "connection conflict-free" true
-        (Simple_part.Theorem31.check r.schedule r.links = Ok ())
+  let r = Flows.run_ok F.Ch3 d ~rate:2 in
+  checkb "schedule valid" true (Mcs_sched.Schedule.verify r.F.schedule = Ok ());
+  (* Paper values: P1/P2 use 48 pins, P3/P4 use 32. *)
+  checki "P1 pins" 48 (List.assoc 1 r.F.pins);
+  checki "P2 pins" 48 (List.assoc 2 r.F.pins);
+  checki "P3 pins" 32 (List.assoc 3 r.F.pins);
+  checki "P4 pins" 32 (List.assoc 4 r.F.pins);
+  (* Theorem 3.1's own check already ran inside the flow; run it again. *)
+  checkb "connection conflict-free" true
+    (Simple_part.Theorem31.check r.F.schedule (Flows.bundles r) = Ok ())
 
 let test_ch3_rejects_general () =
   let d = Benchmarks.ar_general () in
   checkb "general partitioning rejected" true
-    (try
-       ignore (Simple_part.run d ~rate:3);
-       false
-     with Invalid_argument _ -> true)
+    (match Flows.run F.Ch3 d ~rate:3 with
+    | Error dg -> dg.Mcs_flow.Diag.code = Mcs_flow.Diag.Invalid_input
+    | Ok _ -> false)
 
 let test_theorem31_check_catches_conflicts () =
   let d = Benchmarks.ar_simple () in
-  match Simple_part.run d ~rate:2 with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      (* Halving a bundle must break the check. *)
-      let broken =
-        List.map
-          (fun (b : Simple_part.Theorem31.bundle) ->
-            { b with Simple_part.Theorem31.wires = b.wires / 2 })
-          r.links
-      in
-      checkb "conflict detected" true
-        (Simple_part.Theorem31.check r.schedule broken <> Ok ())
+  let r = Flows.run_ok F.Ch3 d ~rate:2 in
+  (* Halving a bundle must break the check. *)
+  let broken =
+    List.map
+      (fun (b : Simple_part.Theorem31.bundle) ->
+        { b with Simple_part.Theorem31.wires = b.wires / 2 })
+      (Flows.bundles r)
+  in
+  checkb "conflict detected" true
+    (Simple_part.Theorem31.check r.F.schedule broken <> Ok ())
 
 (* --- Chapter 4 flow --- *)
 
@@ -134,15 +130,13 @@ let test_ch4_flow_all_rates () =
     (fun rate ->
       List.iter
         (fun mode ->
-          match Pre_connect.run_design d ~rate ~mode with
-          | Error m -> Alcotest.fail m
-          | Ok r ->
-              checkb "valid schedule" true
-                (Mcs_sched.Schedule.verify r.schedule = Ok ());
-              (* Final assignment covers every I/O operation. *)
-              checki "all ops placed"
-                (List.length (Cdfg.io_ops d.Benchmarks.cdfg))
-                (List.length r.final_assignment))
+          let r = Flows.run_ok F.Ch4 ~mode d ~rate in
+          checkb "valid schedule" true
+            (Mcs_sched.Schedule.verify r.F.schedule = Ok ());
+          (* Final assignment covers every I/O operation. *)
+          checki "all ops placed"
+            (List.length (Cdfg.io_ops d.Benchmarks.cdfg))
+            (List.length (snd (Flows.buses r))))
         [ Mcs_connect.Connection.Unidir; Mcs_connect.Connection.Bidir ])
     [ 3; 4; 5 ]
 
@@ -152,14 +146,14 @@ let test_ch4_bidir_fewer_pins () =
   List.iter
     (fun rate ->
       match
-        ( Pre_connect.run_design d ~rate ~mode:Mcs_connect.Connection.Unidir,
-          Pre_connect.run_design d ~rate ~mode:Mcs_connect.Connection.Bidir )
+        ( Flows.run F.Ch4 ~mode:Mcs_connect.Connection.Unidir d ~rate,
+          Flows.run F.Ch4 ~mode:Mcs_connect.Connection.Bidir d ~rate )
       with
       | Ok uni, Ok bi ->
           checkb
             (Printf.sprintf "rate %d: bidir <= unidir pins" rate)
             true
-            (Mcs_util.Listx.sum snd bi.pins <= Mcs_util.Listx.sum snd uni.pins)
+            (F.pins_total bi <= F.pins_total uni)
       | _ -> Alcotest.fail "flows failed")
     [ 3; 4; 5 ]
 
@@ -167,53 +161,49 @@ let test_ch4_ewf () =
   let d = Benchmarks.elliptic () in
   List.iter
     (fun rate ->
-      match Pre_connect.run_design d ~rate ~mode:Mcs_connect.Connection.Unidir with
-      | Error m -> Alcotest.fail m
-      | Ok r ->
-          checkb "valid" true (Mcs_sched.Schedule.verify r.schedule = Ok ()))
+      let r = Flows.run_ok F.Ch4 ~mode:Mcs_connect.Connection.Unidir d ~rate in
+      checkb "valid" true (Mcs_sched.Schedule.verify r.F.schedule = Ok ()))
     [ 6; 7 ]
 
 (* --- Chapter 5 flow --- *)
 
 let test_ch5_cliques_valid () =
   let d = Benchmarks.ar_general () in
-  match
-    Post_connect.run_design d ~rate:4 ~pipe_length:9
-      ~mode:Mcs_connect.Connection.Bidir
-  with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let cdfg = d.Benchmarks.cdfg in
-      let s = r.schedule in
-      checkb "valid schedule" true (Mcs_sched.Schedule.verify s = Ok ());
-      (* Within a clique (bus), two ops in the same control-step group must
-         transfer the same value in the same control step. *)
-      let by_bus = Mcs_util.Listx.group_by snd r.assignment in
+  let r =
+    Flows.run_ok F.Ch5 ~pipe_length:9 ~mode:Mcs_connect.Connection.Bidir d
+      ~rate:4
+  in
+  let conn, assignment = Flows.buses r in
+  let cdfg = d.Benchmarks.cdfg in
+  let s = r.F.schedule in
+  checkb "valid schedule" true (Mcs_sched.Schedule.verify s = Ok ());
+  (* Within a clique (bus), two ops in the same control-step group must
+     transfer the same value in the same control step. *)
+  let by_bus = Mcs_util.Listx.group_by snd assignment in
+  List.iter
+    (fun (_, members) ->
+      let ops = List.map fst members in
       List.iter
-        (fun (_, members) ->
-          let ops = List.map fst members in
+        (fun w1 ->
           List.iter
-            (fun w1 ->
-              List.iter
-                (fun w2 ->
-                  if
-                    w1 < w2
-                    && Mcs_sched.Schedule.group s w1 = Mcs_sched.Schedule.group s w2
-                  then begin
-                    checkb "same value" true
-                      (String.equal (Cdfg.io_value cdfg w1) (Cdfg.io_value cdfg w2));
-                    checki "same cstep" (Mcs_sched.Schedule.cstep s w1)
-                      (Mcs_sched.Schedule.cstep s w2)
-                  end)
-                ops)
+            (fun w2 ->
+              if
+                w1 < w2
+                && Mcs_sched.Schedule.group s w1 = Mcs_sched.Schedule.group s w2
+              then begin
+                checkb "same value" true
+                  (String.equal (Cdfg.io_value cdfg w1) (Cdfg.io_value cdfg w2));
+                checki "same cstep" (Mcs_sched.Schedule.cstep s w1)
+                  (Mcs_sched.Schedule.cstep s w2)
+              end)
             ops)
-        by_bus;
-      (* Buses are wired wide enough for their traffic. *)
-      List.iter
-        (fun (w, h) ->
-          checkb "capable" true
-            (Mcs_connect.Connection.capable r.connection cdfg ~bus:h w))
-        r.assignment
+        ops)
+    by_bus;
+  (* Buses are wired wide enough for their traffic. *)
+  List.iter
+    (fun (w, h) ->
+      checkb "capable" true (Mcs_connect.Connection.capable conn cdfg ~bus:h w))
+    assignment
 
 let test_ch5_weight_function () =
   let d = Benchmarks.ar_general () in
@@ -236,87 +226,81 @@ let test_ch5_ewf_rate5 () =
   (* Chapter 5's approach handles the rate the greedy Chapter 4 flow
      cannot. *)
   let d = Benchmarks.elliptic () in
-  match
-    Post_connect.run_design d ~rate:5 ~pipe_length:25
-      ~mode:Mcs_connect.Connection.Unidir
-  with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      checkb "rate-5 schedule valid" true
-        (Mcs_sched.Schedule.verify r.schedule = Ok ())
+  let r =
+    Flows.run_ok F.Ch5 ~pipe_length:25 ~mode:Mcs_connect.Connection.Unidir d
+      ~rate:5
+  in
+  checkb "rate-5 schedule valid" true
+    (Mcs_sched.Schedule.verify r.F.schedule = Ok ())
 
 (* --- Chapter 6 flow --- *)
 
 let test_ch6_ar () =
   let d = Benchmarks.ar_general () in
-  match Subbus.run_design d ~rate:4 with
-  | Error m -> Alcotest.fail m
-  | Ok t ->
-      checkb "valid schedule" true (Mcs_sched.Schedule.verify t.schedule = Ok ());
-      let cdfg = d.Benchmarks.cdfg in
-      (* Slices hold their assigned operations widthwise. *)
+  let t = Flows.run_ok F.Ch6 d ~rate:4 in
+  let real_buses, _, _ = Flows.subbuses t in
+  checkb "valid schedule" true (Mcs_sched.Schedule.verify t.F.schedule = Ok ());
+  let cdfg = d.Benchmarks.cdfg in
+  (* Slices hold their assigned operations widthwise. *)
+  List.iter
+    (fun (rb : Subbus.real_bus) ->
       List.iter
-        (fun (rb : Subbus.real_bus) ->
-          List.iter
-            (fun (w, s) ->
-              let width = Cdfg.io_width cdfg w in
-              match (rb.split_at, s) with
-              | None, Subbus.Whole -> checkb "fits" true (width <= rb.width)
-              | Some lo, Subbus.Lo -> checkb "fits lo" true (width <= lo)
-              | Some lo, Subbus.Hi -> checkb "fits hi" true (width <= rb.width - lo)
-              | Some _, Subbus.Whole -> checkb "fits whole" true (width <= rb.width)
-              | None, (Subbus.Lo | Subbus.Hi) -> Alcotest.fail "slice on unsplit bus")
-            rb.carried)
-        t.real_buses;
-      (* Pin totals match the port lists. *)
-      List.iter
-        (fun (p, n) ->
-          checki "pins consistent" n
-            (Mcs_util.Listx.sum
-               (fun (rb : Subbus.real_bus) ->
-                 Mcs_util.Listx.sum (fun (q, r) -> if q = p then r else 0) rb.ports)
-               t.real_buses))
-        t.pins
+        (fun (w, s) ->
+          let width = Cdfg.io_width cdfg w in
+          match (rb.split_at, s) with
+          | None, Subbus.Whole -> checkb "fits" true (width <= rb.width)
+          | Some lo, Subbus.Lo -> checkb "fits lo" true (width <= lo)
+          | Some lo, Subbus.Hi -> checkb "fits hi" true (width <= rb.width - lo)
+          | Some _, Subbus.Whole -> checkb "fits whole" true (width <= rb.width)
+          | None, (Subbus.Lo | Subbus.Hi) -> Alcotest.fail "slice on unsplit bus")
+        rb.carried)
+    real_buses;
+  (* Pin totals match the port lists. *)
+  List.iter
+    (fun (p, n) ->
+      checki "pins consistent" n
+        (Mcs_util.Listx.sum
+           (fun (rb : Subbus.real_bus) ->
+             Mcs_util.Listx.sum (fun (q, r) -> if q = p then r else 0) rb.ports)
+           real_buses))
+    t.F.pins
 
 let test_ch6_demo_needs_sharing () =
   let demo = Benchmarks.subbus_demo () in
   checkb "chapter-4 flow infeasible at 40 pins" true
-    (Pre_connect.run_design demo ~rate:3 ~mode:Mcs_connect.Connection.Bidir
+    (Flows.run F.Ch4 ~mode:Mcs_connect.Connection.Bidir demo ~rate:3
     |> Result.is_error);
-  match Subbus.run_design demo ~rate:3 with
-  | Error m -> Alcotest.fail m
-  | Ok t ->
-      checkb "sharing flow feasible" true
-        (Mcs_sched.Schedule.verify t.schedule = Ok ());
-      checkb "a bus actually split" true
-        (List.exists (fun (b : Subbus.real_bus) -> b.split_at <> None) t.real_buses);
-      checkb "P1 within 40 pins" true (List.assoc 1 t.pins <= 40)
+  let t = Flows.run_ok F.Ch6 demo ~rate:3 in
+  let real_buses, _, _ = Flows.subbuses t in
+  checkb "sharing flow feasible" true
+    (Mcs_sched.Schedule.verify t.F.schedule = Ok ());
+  checkb "a bus actually split" true
+    (List.exists (fun (b : Subbus.real_bus) -> b.split_at <> None) real_buses);
+  checkb "P1 within 40 pins" true (List.assoc 1 t.F.pins <= 40)
 
 let test_ch6_allocation_no_half_conflicts () =
   let demo = Benchmarks.subbus_demo () in
-  match Subbus.run_design demo ~rate:3 with
-  | Error m -> Alcotest.fail m
-  | Ok t ->
-      (* At most one value per (bus, half, group): whole-bus entries count
-         on both halves. *)
-      let occupancy = Hashtbl.create 16 in
+  let _, _, allocation = Flows.subbuses (Flows.run_ok F.Ch6 demo ~rate:3) in
+  (* At most one value per (bus, half, group): whole-bus entries count on
+     both halves. *)
+  let occupancy = Hashtbl.create 16 in
+  List.iter
+    (fun ((bus, slice, g), (value, cstep, _)) ->
+      let halves =
+        match slice with
+        | Subbus.Lo -> [ `L ]
+        | Subbus.Hi -> [ `H ]
+        | Subbus.Whole -> [ `L; `H ]
+      in
       List.iter
-        (fun ((bus, slice, g), (value, cstep, _)) ->
-          let halves =
-            match slice with
-            | Subbus.Lo -> [ `L ]
-            | Subbus.Hi -> [ `H ]
-            | Subbus.Whole -> [ `L; `H ]
-          in
-          List.iter
-            (fun h ->
-              match Hashtbl.find_opt occupancy (bus, h, g) with
-              | Some (v', c') ->
-                  checkb "only same value+step may share" true
-                    (String.equal v' value && c' = cstep)
-              | None -> Hashtbl.add occupancy (bus, h, g) (value, cstep))
-            halves)
-        t.allocation
+        (fun h ->
+          match Hashtbl.find_opt occupancy (bus, h, g) with
+          | Some (v', c') ->
+              checkb "only same value+step may share" true
+                (String.equal v' value && c' = cstep)
+          | None -> Hashtbl.add occupancy (bus, h, g) (value, cstep))
+        halves)
+    allocation
 
 (* --- Extensions --- *)
 
@@ -470,24 +454,20 @@ let test_improve_never_worse () =
     (fun rate ->
       let cons = Benchmarks.constraints_for d ~rate in
       let base =
-        match
-          Pre_connect.run d.Benchmarks.cdfg d.Benchmarks.mlib cons ~rate
-            ~mode:Mcs_connect.Connection.Unidir ()
-        with
-        | Ok r -> Mcs_sched.Schedule.pipe_length r.schedule
-        | Error m -> Alcotest.fail m
+        (Flows.run_ok F.Ch4 ~mode:Mcs_connect.Connection.Unidir d ~rate)
+          .F.pipe_length
       in
       match
         Improve.pre_connect d.Benchmarks.cdfg d.Benchmarks.mlib cons ~rate
           ~mode:Mcs_connect.Connection.Unidir ()
       with
       | Error m -> Alcotest.fail m
-      | Ok r ->
-          checkb "valid" true (Mcs_sched.Schedule.verify r.schedule = Ok ());
+      | Ok schedule ->
+          checkb "valid" true (Mcs_sched.Schedule.verify schedule = Ok ());
           checkb
             (Printf.sprintf "rate %d not worse" rate)
             true
-            (Mcs_sched.Schedule.pipe_length r.schedule <= base))
+            (Mcs_sched.Schedule.pipe_length schedule <= base))
     [ 3; 4 ]
 
 let test_improve_finds_shorter_pipe () =
@@ -495,15 +475,13 @@ let test_improve_finds_shorter_pipe () =
   let d = Benchmarks.ar_general () in
   let cons = Benchmarks.constraints_for d ~rate:3 in
   match
-    ( Pre_connect.run d.Benchmarks.cdfg d.Benchmarks.mlib cons ~rate:3
-        ~mode:Mcs_connect.Connection.Unidir (),
+    ( Flows.run F.Ch4 ~mode:Mcs_connect.Connection.Unidir d ~rate:3,
       Improve.pre_connect d.Benchmarks.cdfg d.Benchmarks.mlib cons ~rate:3
         ~mode:Mcs_connect.Connection.Unidir () )
   with
   | Ok base, Ok better ->
       checkb "strictly better on this instance" true
-        (Mcs_sched.Schedule.pipe_length better.schedule
-        < Mcs_sched.Schedule.pipe_length base.schedule)
+        (Mcs_sched.Schedule.pipe_length better < base.F.pipe_length)
   | _ -> Alcotest.fail "flows failed"
 
 let test_dot_export () =

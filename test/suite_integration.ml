@@ -3,12 +3,12 @@
    reproduction run must show. *)
 
 open Mcs_cdfg
-open Mcs_core
 module C = Mcs_connect.Connection
+module F = Mcs_flow.Flow
 
 let checkb = Alcotest.(check bool)
 
-let total pins = Mcs_util.Listx.sum snd pins
+let total = F.pins_total
 
 let test_shape_bidir_saves_pins_everywhere () =
   List.iter
@@ -16,14 +16,14 @@ let test_shape_bidir_saves_pins_everywhere () =
       List.iter
         (fun rate ->
           match
-            ( Pre_connect.run_design d ~rate ~mode:C.Unidir,
-              Pre_connect.run_design d ~rate ~mode:C.Bidir )
+            ( Flows.run F.Ch4 ~mode:C.Unidir d ~rate,
+              Flows.run F.Ch4 ~mode:C.Bidir d ~rate )
           with
           | Ok uni, Ok bi ->
               checkb
                 (Printf.sprintf "%s rate %d" d.Benchmarks.tag rate)
                 true
-                (total bi.pins <= total uni.pins)
+                (total bi <= total uni)
           | _ -> () (* rates a mode cannot schedule are covered elsewhere *))
         d.Benchmarks.rates)
     [ Benchmarks.ar_general (); Benchmarks.elliptic () ]
@@ -53,11 +53,7 @@ let test_shape_rate_vs_pins_monotone () =
   (* A larger initiation rate gives every pin more slots, so the
      connection-first flow never needs more pins. *)
   let d = Benchmarks.ar_general () in
-  let pins rate =
-    match Pre_connect.run_design d ~rate ~mode:C.Unidir with
-    | Ok r -> total r.pins
-    | Error m -> Alcotest.fail m
-  in
+  let pins rate = total (Flows.run_ok F.Ch4 ~mode:C.Unidir d ~rate) in
   let p3 = pins 3 and p4 = pins 4 and p5 = pins 5 in
   checkb "rate 4 <= rate 3" true (p4 <= p3);
   checkb "rate 5 <= rate 4" true (p5 <= p4)
@@ -67,13 +63,13 @@ let test_shape_sharing_never_needs_more_pins () =
   List.iter
     (fun rate ->
       match
-        (Pre_connect.run_design d ~rate ~mode:C.Bidir, Subbus.run_design d ~rate)
+        (Flows.run F.Ch4 ~mode:C.Bidir d ~rate, Flows.run F.Ch6 d ~rate)
       with
       | Ok plain, Ok shared ->
           checkb
             (Printf.sprintf "rate %d" rate)
             true
-            (total shared.pins <= total plain.pins)
+            (total shared <= total plain)
       | _ -> Alcotest.fail "flows failed")
     [ 4; 5 ]
 
@@ -94,35 +90,29 @@ let test_shape_ch3_pins_match_paper () =
   (* The Chapter 3 run must land exactly on the paper's pin bundles:
      48/48/32/32 (6 resp. 4 bundles of 8 bits). *)
   let d = Benchmarks.ar_simple () in
-  match Simple_part.run d ~rate:2 with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      Alcotest.(check (list (pair int int)))
-        "pins per chip"
-        [ (0, 112); (1, 48); (2, 48); (3, 32); (4, 32) ]
-        r.pins_needed
+  let r = Flows.run_ok F.Ch3 d ~rate:2 in
+  Alcotest.(check (list (pair int int)))
+    "pins per chip"
+    [ (0, 112); (1, 48); (2, 48); (3, 32); (4, 32) ]
+    r.F.pins
 
 let test_shape_every_flow_schedules_every_io_once () =
   let d = Benchmarks.ar_general () in
-  match Pre_connect.run_design d ~rate:4 ~mode:C.Unidir with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let cdfg = d.Benchmarks.cdfg in
-      List.iter
-        (fun w ->
-          checkb "scheduled" true (Mcs_sched.Schedule.is_scheduled r.schedule w))
-        (Cdfg.ops cdfg)
+  let r = Flows.run_ok F.Ch4 ~mode:C.Unidir d ~rate:4 in
+  let cdfg = d.Benchmarks.cdfg in
+  List.iter
+    (fun w ->
+      checkb "scheduled" true (Mcs_sched.Schedule.is_scheduled r.F.schedule w))
+    (Cdfg.ops cdfg)
 
 let test_shape_dynamic_vs_static_documented () =
   (* Dynamic reassignment must at least match static whenever static
      fails; when both succeed the comparison is reported, not asserted
      (the paper's own caveat: "may not be valid for some cases"). *)
   let d = Benchmarks.elliptic () in
-  match Pre_connect.run_design d ~rate:6 ~mode:C.Unidir with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      checkb "dynamic run schedules" true
-        (Mcs_sched.Schedule.verify r.schedule = Ok ())
+  let r = Flows.run_ok F.Ch4 ~mode:C.Unidir d ~rate:6 in
+  checkb "dynamic run schedules" true
+    (Mcs_sched.Schedule.verify r.F.schedule = Ok ())
 
 let suite =
   ( "integration",
@@ -149,20 +139,18 @@ let test_scaled_designs () =
   (* Larger instances stay schedulable, verified and functionally correct. *)
   let d = Benchmarks.ar_scaled ~sections:8 ~chips:4 in
   let rate = List.hd d.Benchmarks.rates in
-  match Pre_connect.run_design d ~rate ~mode:C.Unidir with
+  let r = Flows.run_ok F.Ch4 ~mode:C.Unidir d ~rate in
+  let conn, assignment = Flows.buses r in
+  checkb "valid" true (Mcs_sched.Schedule.verify r.F.schedule = Ok ());
+  match
+    Mcs_sim.Simulate.check_equivalent r.F.schedule
+      ~bus_of:(fun op -> [ List.assoc op assignment ])
+      ~bus_capable:(fun bus op ->
+        Mcs_connect.Connection.capable conn d.Benchmarks.cdfg ~bus op)
+      ~seed:77 ~instances:5
+  with
+  | Ok () -> ()
   | Error m -> Alcotest.fail m
-  | Ok r -> (
-      checkb "valid" true (Mcs_sched.Schedule.verify r.schedule = Ok ());
-      match
-        Mcs_sim.Simulate.check_equivalent r.schedule
-          ~bus_of:(fun op -> [ List.assoc op r.final_assignment ])
-          ~bus_capable:(fun bus op ->
-            Mcs_connect.Connection.capable r.connection d.Benchmarks.cdfg
-              ~bus op)
-          ~seed:77 ~instances:5
-      with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m)
 
 let suite =
   let name, tests = suite in

@@ -1,7 +1,7 @@
 (* Tests for the behavioural partitioning front end (the CHOP stand-in). *)
 
 open Mcs_cdfg
-open Mcs_core
+module F = Mcs_flow.Flow
 module P = Partitioner
 
 let checkb = Alcotest.(check bool)
@@ -91,19 +91,22 @@ let test_end_to_end_partition_flow () =
       ~pins:(List.map (fun p -> (p, 64)) (Mcs_util.Listx.range 0 (Cdfg.n_partitions cdfg + 1)))
       ~fus:(Constraints.min_fus cdfg mlib ~rate)
   in
-  match Pre_connect.run cdfg mlib cons ~rate ~mode:Mcs_connect.Connection.Unidir () with
+  let r =
+    Flows.ok
+      (F.run F.Ch4
+         (Flows.spec cdfg mlib cons ~rate ~mode:Mcs_connect.Connection.Unidir))
+  in
+  let conn, assignment = Flows.buses r in
+  checkb "schedule valid" true (Mcs_sched.Schedule.verify r.F.schedule = Ok ());
+  match
+    Mcs_sim.Simulate.check_equivalent r.F.schedule
+      ~bus_of:(fun op -> [ List.assoc op assignment ])
+      ~bus_capable:(fun bus op ->
+        Mcs_connect.Connection.capable conn cdfg ~bus op)
+      ~seed:9 ~instances:6
+  with
+  | Ok () -> ()
   | Error m -> Alcotest.fail m
-  | Ok r ->
-      checkb "schedule valid" true (Mcs_sched.Schedule.verify r.schedule = Ok ());
-      (match
-         Mcs_sim.Simulate.check_equivalent r.schedule
-           ~bus_of:(fun op -> [ List.assoc op r.final_assignment ])
-           ~bus_capable:(fun bus op ->
-             Mcs_connect.Connection.capable r.connection cdfg ~bus op)
-           ~seed:9 ~instances:6
-       with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m)
 
 let test_partition_respects_cap () =
   let s = clustered () in

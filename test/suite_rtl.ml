@@ -2,7 +2,7 @@
    functional-unit binding, multiplexer derivation. *)
 
 open Mcs_cdfg
-open Mcs_core
+module F = Mcs_flow.Flow
 module Sched = Mcs_sched.Schedule
 module L = Mcs_rtl.Lifetime
 module D = Mcs_rtl.Datapath
@@ -12,13 +12,10 @@ let checki = Alcotest.(check int)
 
 let ar4 () =
   let d = Benchmarks.ar_general () in
-  let cons = Benchmarks.constraints_for d ~rate:4 in
-  match
-    Pre_connect.run d.Benchmarks.cdfg d.Benchmarks.mlib cons ~rate:4
-      ~mode:Mcs_connect.Connection.Unidir ()
-  with
-  | Ok r -> (d, cons, r.Pre_connect.schedule)
-  | Error m -> Alcotest.fail m
+  let spec =
+    F.spec_of_design ~mode:Mcs_connect.Connection.Unidir ~flow:F.Ch4 d ~rate:4
+  in
+  (d, spec.F.cons, (Flows.ok (F.run F.Ch4 spec)).F.schedule)
 
 let test_lifetime_basic () =
   let d, _, sched = ar4 () in

@@ -6,6 +6,7 @@ open Mcs_cdfg
 open Mcs_core
 module Sim = Mcs_sim.Simulate
 module C = Mcs_connect.Connection
+module F = Mcs_flow.Flow
 
 let checkb = Alcotest.(check bool)
 
@@ -19,25 +20,24 @@ let ok_or_fail = function
    guarantees physical wiring exists; here we check the *dataflow*. *)
 let test_ch3_functional () =
   let d = Benchmarks.ar_simple () in
-  match Simple_part.run d ~rate:2 with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      ok_or_fail
-        (Sim.check_equivalent r.schedule
-           ~bus_of:(fun op -> [ op ])
-           ~bus_capable:(fun _ _ -> true)
-           ~seed:7 ~instances:6)
+  let r = Flows.run_ok F.Ch3 d ~rate:2 in
+  ok_or_fail
+    (Sim.check_equivalent r.F.schedule
+       ~bus_of:(fun op -> [ op ])
+       ~bus_capable:(fun _ _ -> true)
+       ~seed:7 ~instances:6)
+
+(* Replays a shared-bus result (Ch. 4/5): each transfer on its final bus. *)
+let check_buses (r : F.result) cdfg ~seed =
+  let conn, assignment = Flows.buses r in
+  ok_or_fail
+    (Sim.check_equivalent r.F.schedule
+       ~bus_of:(fun op -> [ List.assoc op assignment ])
+       ~bus_capable:(fun bus op -> C.capable conn cdfg ~bus op)
+       ~seed ~instances:8)
 
 let check_ch4 (d : Benchmarks.design) ~rate ~mode =
-  match Pre_connect.run_design d ~rate ~mode with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let cdfg = d.Benchmarks.cdfg in
-      ok_or_fail
-        (Sim.check_equivalent r.schedule
-           ~bus_of:(fun op -> [ List.assoc op r.final_assignment ])
-           ~bus_capable:(fun bus op -> C.capable r.connection cdfg ~bus op)
-           ~seed:42 ~instances:8)
+  check_buses (Flows.run_ok F.Ch4 ~mode d ~rate) d.Benchmarks.cdfg ~seed:42
 
 let test_ch4_ar_functional () =
   let d = Benchmarks.ar_general () in
@@ -53,27 +53,21 @@ let test_ch4_ewf_functional () =
 
 let test_ch5_functional () =
   let d = Benchmarks.ar_general () in
-  match Post_connect.run_design d ~rate:4 ~pipe_length:9 ~mode:C.Bidir with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let cdfg = d.Benchmarks.cdfg in
-      ok_or_fail
-        (Sim.check_equivalent r.schedule
-           ~bus_of:(fun op -> [ List.assoc op r.assignment ])
-           ~bus_capable:(fun bus op -> C.capable r.connection cdfg ~bus op)
-           ~seed:3 ~instances:8)
+  check_buses
+    (Flows.run_ok F.Ch5 ~pipe_length:9 ~mode:C.Bidir d ~rate:4)
+    d.Benchmarks.cdfg ~seed:3
 
-let subbus_slots (t : Subbus.t) op =
-  let bus, slice = List.assoc op t.Subbus.final_assignment in
+let subbus_slots assignment op =
+  let bus, slice = List.assoc op assignment in
   match slice with
   | Subbus.Lo -> [ 2 * bus ]
   | Subbus.Hi -> [ (2 * bus) + 1 ]
   | Subbus.Whole -> [ 2 * bus; (2 * bus) + 1 ]
 
-let subbus_capable (d : Benchmarks.design) (t : Subbus.t) slot op =
+let subbus_capable (d : Benchmarks.design) (real_buses, assignment) slot op =
   let cdfg = d.Benchmarks.cdfg in
-  let rb = List.nth t.Subbus.real_buses (slot / 2) in
-  let _, slice = List.assoc op t.Subbus.final_assignment in
+  let rb = List.nth real_buses (slot / 2) in
+  let _, slice = List.assoc op assignment in
   let width = Cdfg.io_width cdfg op in
   let port p = Option.value ~default:0 (List.assoc_opt p rb.Subbus.ports) in
   let need =
@@ -87,44 +81,47 @@ let subbus_capable (d : Benchmarks.design) (t : Subbus.t) slot op =
   && port (Cdfg.io_src cdfg op) >= need
   && port (Cdfg.io_dst cdfg op) >= need
 
+(* Elliptic r7 is a paper point where the slot caps tie on pins and pipe
+   length; the flow keeps the lowest tied cap. *)
 let test_ch6_functional () =
   List.iter
     (fun (d, rate) ->
-      match Subbus.run_design d ~rate with
-      | Error m -> Alcotest.fail m
-      | Ok t ->
-          ok_or_fail
-            (Sim.check_equivalent t.schedule ~bus_of:(subbus_slots t)
-               ~bus_capable:(subbus_capable d t) ~seed:11 ~instances:8))
-    [ (Benchmarks.ar_general (), 4); (Benchmarks.subbus_demo (), 3) ]
+      let t = Flows.run_ok F.Ch6 d ~rate in
+      let real_buses, assignment, _ = Flows.subbuses t in
+      ok_or_fail
+        (Sim.check_equivalent t.F.schedule ~bus_of:(subbus_slots assignment)
+           ~bus_capable:(subbus_capable d (real_buses, assignment))
+           ~seed:11 ~instances:8))
+    [
+      (Benchmarks.ar_general (), 4);
+      (Benchmarks.subbus_demo (), 3);
+      (Benchmarks.elliptic (), 7);
+    ]
 
 let test_machine_detects_bus_conflict () =
   (* Collapse every bus to one slot: the AR filter's 34 transfers cannot
      all share one bus, so the simulator must report a conflict. *)
   let d = Benchmarks.ar_general () in
-  match Pre_connect.run_design d ~rate:4 ~mode:C.Unidir with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let res =
-        Sim.machine r.schedule
-          ~bus_of:(fun _ -> [ 0 ])
-          ~bus_capable:(fun _ _ -> true)
-          ~inputs:(Sim.random_inputs ~seed:0) ~instances:6
-      in
-      checkb "conflict detected" true (Result.is_error res)
+  let r = Flows.run_ok F.Ch4 ~mode:C.Unidir d ~rate:4 in
+  let res =
+    Sim.machine r.F.schedule
+      ~bus_of:(fun _ -> [ 0 ])
+      ~bus_capable:(fun _ _ -> true)
+      ~inputs:(Sim.random_inputs ~seed:0) ~instances:6
+  in
+  checkb "conflict detected" true (Result.is_error res)
 
 let test_machine_detects_narrow_port () =
   let d = Benchmarks.ar_general () in
-  match Pre_connect.run_design d ~rate:4 ~mode:C.Unidir with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let res =
-        Sim.machine r.schedule
-          ~bus_of:(fun op -> [ List.assoc op r.final_assignment ])
-          ~bus_capable:(fun _ _ -> false)
-          ~inputs:(Sim.random_inputs ~seed:0) ~instances:2
-      in
-      checkb "width violation detected" true (Result.is_error res)
+  let r = Flows.run_ok F.Ch4 ~mode:C.Unidir d ~rate:4 in
+  let _, assignment = Flows.buses r in
+  let res =
+    Sim.machine r.F.schedule
+      ~bus_of:(fun op -> [ List.assoc op assignment ])
+      ~bus_capable:(fun _ _ -> false)
+      ~inputs:(Sim.random_inputs ~seed:0) ~instances:2
+  in
+  checkb "width violation detected" true (Result.is_error res)
 
 let test_machine_detects_early_read () =
   let d = Benchmarks.ar_simple () in
@@ -197,13 +194,14 @@ let fuzz_once seed =
           (Mcs_util.Listx.range 0 (n_partitions + 1))
       in
       let cons = Constraints.create ~n_partitions ~pins ~fus in
-      (match Pre_connect.run cdfg mlib cons ~rate ~mode:C.Unidir () with
+      (match F.run F.Ch4 (Flows.spec cdfg mlib cons ~rate ~mode:C.Unidir) with
       | Error _ -> true (* flows may fail; soundness only *)
       | Ok r -> (
+          let conn, assignment = Flows.buses r in
           match
-            Sim.check_equivalent r.schedule
-              ~bus_of:(fun op -> [ List.assoc op r.final_assignment ])
-              ~bus_capable:(fun bus op -> C.capable r.connection cdfg ~bus op)
+            Sim.check_equivalent r.F.schedule
+              ~bus_of:(fun op -> [ List.assoc op assignment ])
+              ~bus_capable:(fun bus op -> C.capable conn cdfg ~bus op)
               ~seed ~instances:6
           with
           | Ok () -> true
