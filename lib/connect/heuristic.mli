@@ -6,7 +6,24 @@
     only the [branching] best candidate buses (by the gain
     [g = 10000 g1 + 100 g2 + g3], favouring port reuse weighted by pin
     scarcity, same-value sharing, and slot balance) with pairwise distinct
-    topologies are explored, plus a fresh bus. *)
+    topologies are explored, plus a fresh bus.
+
+    After each move the search prunes the subtree when a lower bound
+    shows it holds no complete assignment.  Pruning never reorders the
+    search, so it changes node counts, never the answer.
+    - Per partition, the fresh pins the remaining transfers need, after
+      the free slots of the partition's existing ports, must fit its
+      budget.  Only values no bus carries yet count: an operation whose
+      value is already on a bus (a rider) can share that bus's slot, so
+      its cheapest completion takes no slot and possibly no pin.
+    - With unidirectional ports, for every p sending and q receiving, the
+      values neither can move onto fresh ports (at most [slot_cap] values
+      per port, ports no narrower than the narrowest value that fits the
+      pins left) must fit the free slots of the buses where p has an
+      output or q an input port; a value p sends to q fills one slot for
+      both.  Each such value takes a slot that is free now, so the count
+      is a lower bound.  Bidirectional ports, where one port and its pins
+      serve both directions, are left out. *)
 
 open Mcs_cdfg
 
