@@ -563,8 +563,8 @@ let test_slot_capacity_golden () =
     (Golden_connect.cases ())
 
 (* Generated general and simple partitionings at rates 2-4, under budgets
-   from generous down to 40% of a dedicated bus per value. *)
-let arb_generated =
+   from [max_pct]% down to 40% of a dedicated bus per value. *)
+let arb_budgeted ~max_pct =
   let gen =
     QCheck.Gen.(
       map
@@ -578,12 +578,15 @@ let arb_generated =
                 (12 + (4 * (seed mod 4)))
           in
           (name, rate, pct))
-        (quad (int_bound 1_000_000) bool (int_range 2 4) (int_range 40 100)))
+        (quad (int_bound 1_000_000) bool (int_range 2 4)
+           (int_range 40 max_pct)))
   in
   QCheck.make
     ~print:(fun (name, rate, pct) ->
       Printf.sprintf "%s rate %d budget %d%%" name rate pct)
     gen
+
+let arb_generated = arb_budgeted ~max_pct:100
 
 (* [f d cons cap] at every slot cap of a generated case. *)
 let at_every_cap (name, rate, pct) f =
