@@ -1337,8 +1337,8 @@ let bechamel () =
       Test.make ~name:"ch3-pin-ilp-feasibility(ar-simple)"
         (Staged.stage (fun () ->
              ignore
-               (Simple_part.Pin_ilp.feasible simple.cdfg cons_s ~rate:2
-                  ~fixed:[])));
+               (Simple_part.Pin_ilp.feasible ~arith:F.default_policy.arith
+                  simple.cdfg cons_s ~rate:2 ~fixed:[])));
       Test.make ~name:"ch5-fds(ewf,rate6,pl25)"
         (Staged.stage (fun () ->
              ignore
@@ -1628,7 +1628,17 @@ let baseline_records ~reps () =
   let totals (r : F.result) =
     (Mcs_util.Listx.sum snd r.F.pins, Sched.pipe_length r.F.schedule)
   in
-  flow_case "ch3" "ar-simple" 2 (fun () ->
+  (* The hook must ask the same questions; it may answer more of them
+     from its refutations and witness, and solve fewer. *)
+  flow_case
+    ~counters:
+      [
+        "pin_ilp.questions";
+        "pin_ilp.solves";
+        "pin_ilp.refuted_hits";
+        "pin_ilp.witness_hits";
+      ]
+    "ch3" "ar-simple" 2 (fun () ->
       Result.map totals
         (run_flow F.Ch3 (Benchmarks.ar_simple ()) ~rate:2 ~mode:C.Unidir));
   flow_case ~counters:[ "heuristic.nodes" ] "ch4" "ar-general" 3 (fun () ->

@@ -117,7 +117,7 @@ module Ch4 = struct
     in
     (m, { y; pins_of })
 
-  let solve ?budget ?method_ ?arith cdfg cons ~rate ~mode ~max_buses =
+  let solve ?budget ?method_ ~arith cdfg cons ~rate ~mode ~max_buses =
     let m, vars = model cdfg cons ~rate ~mode ~max_buses in
     (* Bus cap left out of the key: the flow sweeps max_buses downward and
        each cap's basis warm-starts the next (same variable names). *)
@@ -129,7 +129,7 @@ module Ch4 = struct
         (Cdfg.n_partitions cdfg)
         (List.length (Cdfg.io_ops cdfg))
     in
-    match M.solve ?budget ?method_ ?arith ~warm_key m with
+    match M.solve ?budget ?method_ ~arith ~warm_key m with
     (* A budget-limited but integer-feasible solution is still a valid
        bus assignment — only the bus-count objective may be sub-optimal. *)
     | M.Optimal sol | M.Feasible sol ->
@@ -408,14 +408,14 @@ module Ch6 = struct
       parts;
     m
 
-  let feasible ?budget ?arith cdfg cons ~rate ~max_buses ~subs =
+  let feasible ?budget ~arith cdfg cons ~rate ~max_buses ~subs =
     let m = model cdfg cons ~rate ~max_buses ~subs in
     let warm_key =
       Printf.sprintf "ch6:%dp:%do:%ds" (Cdfg.n_partitions cdfg)
         (List.length (Cdfg.io_ops cdfg))
         subs
     in
-    match M.solve ?budget ~method_:`Branch_bound ?arith ~warm_key m with
+    match M.solve ?budget ~method_:`Branch_bound ~arith ~warm_key m with
     | M.Optimal _ | M.Feasible _ -> Some true
     | M.Infeasible -> Some false
     | M.Unbounded -> Some true

@@ -21,7 +21,7 @@ module Ch4 : sig
   val solve :
     ?budget:Mcs_resilience.Budget.t ->
     ?method_:[ `Branch_bound | `Gomory ] ->
-    ?arith:Mcs_ilp.Fsimplex.arith ->
+    arith:Mcs_ilp.Fsimplex.arith ->
     Cdfg.t -> Constraints.t -> rate:int -> mode:Connection.mode ->
     max_buses:int ->
     [ `Sat of (Types.op_id * int) list * (int * int) list
@@ -29,9 +29,9 @@ module Ch4 : sig
     | `Unsat
     | `Unknown
     | `Exhausted of Mcs_resilience.Budget.exhausted ]
-  (** [arith] (default {!Mcs_ilp.Fsimplex.arith_of_env}) selects the
-      solver arithmetic; the float-certified mode chains bases across the
-      bus-cap sweep through a cap-independent {!Mcs_ilp.Warm} key. *)
+  (** [arith] selects the solver arithmetic; the float-certified mode
+      chains bases across the bus-cap sweep through a cap-independent
+      {!Mcs_ilp.Warm} key. *)
 end
 
 (** Chapter 6 (§6.1.1): sub-slot assignment with buses divided into [subs]
@@ -44,7 +44,7 @@ module Ch6 : sig
 
   val feasible :
     ?budget:Mcs_resilience.Budget.t ->
-    ?arith:Mcs_ilp.Fsimplex.arith ->
+    arith:Mcs_ilp.Fsimplex.arith ->
     Cdfg.t -> Constraints.t -> rate:int -> max_buses:int -> subs:int ->
     bool option
   (** [None] when the solver budget runs out. *)

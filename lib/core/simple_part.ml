@@ -1,5 +1,6 @@
 open Mcs_cdfg
 module Model = Mcs_ilp.Model
+module M = Mcs_obs.Metrics
 
 (* --- Definition 3.2 --- *)
 
@@ -72,7 +73,21 @@ module Pin_ilp = struct
     in
     (merged, multi)
 
-  let model cdfg cons ~rate ~fixed =
+  (* Each I/O operation's unit: the index of its merged class, or — past
+     the classes — of its own variables if it is not single-fanout.
+     [build] creates the x variables in this order. *)
+  let units cdfg =
+    let merged, multi = split_ops cdfg in
+    let unit_of = Array.make (Cdfg.n_ops cdfg) (-1) in
+    List.iteri
+      (fun i g -> List.iter (fun w -> unit_of.(w) <- i) g.m_ops)
+      merged;
+    let n_merged = List.length merged in
+    List.iteri (fun i w -> unit_of.(w) <- n_merged + i) multi;
+    (unit_of, n_merged + List.length multi)
+
+  (* The model and its x variables, [x.(unit).(group)]. *)
+  let build cdfg cons ~rate ~fixed =
     let m = Model.create () in
     let n = Cdfg.n_partitions cdfg in
     let merged, multi = split_ops cdfg in
@@ -216,7 +231,10 @@ module Pin_ilp = struct
             Model.add_ge m (Model.v (List.nth vars k)) (Model.const count)
         | None -> ())
       fixed_merged;
-    m
+    let vars l = List.map (fun (_, vs) -> Array.of_list vs) l in
+    (m, Array.of_list (vars xm @ vars xw))
+
+  let model cdfg cons ~rate ~fixed = fst (build cdfg cons ~rate ~fixed)
 
   (* Rate deliberately left out of the key: the whole point is that rate
      r's basis warm-starts rate r+1 (variables are named, so r's columns
@@ -226,17 +244,23 @@ module Pin_ilp = struct
     Printf.sprintf "pin-ilp:%dp:%do" (Cdfg.n_partitions cdfg)
       (List.length (Cdfg.io_ops cdfg))
 
-  let feasible ?budget ?(method_ = `Branch_bound) ?arith cdfg cons ~rate
-      ~fixed =
-    let m = model cdfg cons ~rate ~fixed in
-    match Model.solve ?budget ~method_ ?arith ~warm_key:(warm_key cdfg) m with
-    | Model.Optimal _ -> true
+  type answer = Feasible of int array array | Infeasible | Undecided
+
+  let m_solves = M.counter "pin_ilp.solves"
+
+  let decide ?budget ?(method_ = `Branch_bound) ~arith cdfg cons ~rate ~fixed
+      =
+    M.incr m_solves;
+    let m, x = build cdfg cons ~rate ~fixed in
+    match Model.solve ?budget ~method_ ~arith ~warm_key:(warm_key cdfg) m with
     (* A feasibility model with an integer point in hand is feasible even
        when the node budget ran out before proving it optimal. *)
-    | Model.Feasible _ -> true
-    | Model.Infeasible -> false
-    | Model.Unbounded -> true
-    | Model.Unknown -> false
+    | Model.Optimal s | Model.Feasible s ->
+        Feasible (Array.map (Array.map (Model.int_value s)) x)
+    | Model.Infeasible -> Infeasible
+    (* Every variable is bounded, so the relaxation cannot be unbounded;
+       like the solver's own node cap, that answer proves nothing. *)
+    | Model.Unbounded | Model.Unknown -> Undecided
     | Model.Exhausted e ->
         (* Unlike [Unknown] (the solver's own node cap, where postponing
            the operation is safe and convergence is still plausible), an
@@ -244,19 +268,62 @@ module Pin_ilp = struct
            of time: propagate so [List_sched.run] fails typed and the
            flow's degradation ladder can take over. *)
         raise (Mcs_resilience.Budget.Out_of_budget e)
+
+  let feasible ?budget ?method_ ~arith cdfg cons ~rate ~fixed =
+    match decide ?budget ?method_ ~arith cdfg cons ~rate ~fixed with
+    | Feasible _ -> true
+    | Infeasible | Undecided -> false
 end
 
-let hook ?budget ?arith cdfg cons ~rate =
+let m_questions = M.counter "pin_ilp.questions"
+let m_refuted_hits = M.counter "pin_ilp.refuted_hits"
+let m_witness_hits = M.counter "pin_ilp.witness_hits"
+
+let hook ?budget ~arith cdfg cons ~rate =
+  let unit_of, n_units = Pin_ilp.units cdfg in
   let committed = ref [] in
+  (* need.(u).(k): the committed operations of unit u in group k, the
+     lower bound the fixings put on x_{u,k}. *)
+  let need = Array.make_matrix n_units rate 0 in
+  let refuted = Array.make_matrix (Cdfg.n_ops cdfg) rate false in
+  (* The last integer point found; it satisfies every committed fixing. *)
+  let witness = ref None in
   let io_can sched op ~cstep =
     ignore sched;
+    M.incr m_questions;
     let k = cstep mod rate in
-    Pin_ilp.feasible ?budget ?arith cdfg cons ~rate
-      ~fixed:((op, k) :: !committed)
+    let u = unit_of.(op) in
+    if refuted.(op).(k) then begin
+      M.incr m_refuted_hits;
+      false
+    end
+    else
+      match !witness with
+      | Some w when w.(u).(k) > need.(u).(k) ->
+          M.incr m_witness_hits;
+          true
+      | _ -> (
+          match
+            Pin_ilp.decide ?budget ~arith cdfg cons ~rate
+              ~fixed:((op, k) :: !committed)
+          with
+          | Pin_ilp.Feasible w ->
+              witness := Some w;
+              true
+          | Pin_ilp.Infeasible ->
+              refuted.(op).(k) <- true;
+              false
+          | Pin_ilp.Undecided -> false)
   in
   let io_commit sched op ~cstep =
     ignore sched;
-    committed := (op, cstep mod rate) :: !committed
+    let k = cstep mod rate in
+    let u = unit_of.(op) in
+    committed := (op, k) :: !committed;
+    need.(u).(k) <- need.(u).(k) + 1;
+    match !witness with
+    | Some w when w.(u).(k) < need.(u).(k) -> witness := None
+    | _ -> ()
   in
   { Mcs_sched.List_sched.io_can; io_commit }
 

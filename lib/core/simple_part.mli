@@ -29,32 +29,76 @@ module Pin_ilp : sig
   (** The ILP of §3.1.1 with the single-fanout merge of §3.1.2; [fixed]
       pins already-scheduled I/O operations to their control-step groups. *)
 
+  (** The answer to one question, with the integer point behind a yes. *)
+  type answer =
+    | Feasible of int array array
+        (** an integer point: [p.(u).(k)] is the x variable of I/O unit
+            [u] (see {!units}) in control-step group [k] *)
+    | Infeasible  (** proven: the search refuted every branch *)
+    | Undecided  (** the solver's own node cap; proves nothing *)
+
+  val units : Cdfg.t -> int array * int
+  (** [(unit_of, n)]: the x-variable unit of every I/O operation (indexed
+      by operation id; [-1] for the others), and the number of units.  A
+      single-fanout operation shares its unit with every operation of the
+      same (source, destination, width) — the merge of §3.1.2 — and a
+      fixing of such an operation to group [k] raises x_{u,k}'s lower
+      bound by one; any other operation has a 0/1 unit of its own. *)
+
+  val decide :
+    ?budget:Mcs_resilience.Budget.t ->
+    ?method_:[ `Branch_bound | `Gomory ] ->
+    arith:Mcs_ilp.Fsimplex.arith ->
+    Cdfg.t -> Constraints.t -> rate:int ->
+    fixed:(Types.op_id * int) list -> answer
+  (** Decides the model; [`Gomory] is the dissertation's §3.3 cutting-plane
+      route, [`Branch_bound] (default) the exact reference.  A solver node
+      limit that already found an integer point counts as feasible.
+      Exhaustion of an explicit [budget] (or the [exhaust-ilp] fault)
+      raises {!Mcs_resilience.Budget.Out_of_budget} — the schedule attempt
+      is out of time and the caller's degradation ladder decides what's
+      next.  [arith] picks the solver arithmetic; the float-certified mode
+      registers its bases under a rate-independent {!Mcs_ilp.Warm} key so
+      neighboring rates chain.  Counts [pin_ilp.solves]. *)
+
   val feasible :
     ?budget:Mcs_resilience.Budget.t ->
     ?method_:[ `Branch_bound | `Gomory ] ->
-    ?arith:Mcs_ilp.Fsimplex.arith ->
+    arith:Mcs_ilp.Fsimplex.arith ->
     Cdfg.t -> Constraints.t -> rate:int ->
     fixed:(Types.op_id * int) list -> bool
-  (** Decides the model; [`Gomory] is the dissertation's §3.3 cutting-plane
-      route, [`Branch_bound] (default) the exact reference.  A solver node
-      limit that already found an integer point counts as feasible; a
-      genuinely undecided node limit is treated as infeasible (safe for
-      the scheduler: the operation is merely postponed).  Exhaustion of an
-      explicit [budget] (or the [exhaust-ilp] fault), by contrast, raises
-      {!Mcs_resilience.Budget.Out_of_budget} — the schedule attempt is out
-      of time and the caller's degradation ladder decides what's next.
-
-      [arith] (default {!Mcs_ilp.Fsimplex.arith_of_env}) picks the solver
-      arithmetic; the float-certified mode registers its bases under a
-      rate-independent {!Mcs_ilp.Warm} key so neighboring rates chain. *)
+  (** {!decide} as a yes/no: an undecided question is treated as
+      infeasible (safe for the scheduler: the operation is merely
+      postponed). *)
 end
 
 val hook :
   ?budget:Mcs_resilience.Budget.t ->
-  ?arith:Mcs_ilp.Fsimplex.arith ->
+  arith:Mcs_ilp.Fsimplex.arith ->
   Cdfg.t -> Constraints.t -> rate:int -> Mcs_sched.List_sched.io_hook
 (** The safety checker of Fig. 3.4: before an I/O operation is scheduled in
-    a control step, verify a completing pin allocation still exists. *)
+    a control step, verify a completing pin allocation still exists.
+
+    The hook solves only what it cannot answer from its own history, and
+    its answers are the ones solving every question would give — except
+    where such a solve would stop undecided at the solver's node cap (a
+    no), and the history holds the exact answer:
+    - {e Refutations.}  The committed fixings only grow, and each one only
+      shrinks the feasible set, so a question [(op, k)] proven
+      {!Pin_ilp.Infeasible} stays infeasible for the rest of the run; the
+      hook answers no again without solving.  An [Undecided] answer
+      proves nothing and is asked again.
+    - {e The witness.}  The last integer point a solve returned satisfies
+      every fixing in force when it was found.  The hook keeps it while
+      it covers every committed fixing (x_{u,k} at least the number of
+      operations committed to unit [u] in group [k]); a commit it does not
+      cover — e.g. the fixed-operation replay of [List_sched], which
+      commits without asking — drops it.  A question the witness already
+      covers (x_{u,k} at least one more than committed) has a completing
+      allocation, so the hook answers yes without solving.
+    Counters: [pin_ilp.questions] per question, [pin_ilp.refuted_hits] and
+    [pin_ilp.witness_hits] per answer from the history, and
+    [pin_ilp.solves] per {!Pin_ilp.decide}. *)
 
 (** Constructive interchip connection of Theorem 3.1.
 

@@ -357,10 +357,16 @@ let create ?(budget = Budget.unlimited) (p : Simplex.problem) =
   let m = List.length le_rows in
   (* Headroom for the branching rows a search appends: as long as the
      tree stays shallower than this, [grow] never fires, the row stride
-     never changes, and every snapshot/restore is a single blit. *)
-  let cap = m + 64 in
+     never changes, and every snapshot/restore is a single blit.  The
+     capacity is rounded up to a multiple of 64, so models that differ by
+     a few rows (a scheduler's successive questions, each one fixing more)
+     share the stride, and with it the tableau and snapshot lengths the
+     [Pool] recycles by. *)
+  let cap = (m + 64 + 63) / 64 * 64 in
   let a = alloc_tableau cap (p.n_vars + cap) in
-  A2.fill a 0.0;
+  (* Only the live rows need zeros: [add_row] writes each later row in
+     full and scrubs its slack column, and nothing reads past them. *)
+  A2.fill (A2.sub_left a 0 m) 0.0;
   let t =
     {
       n_struct = p.n_vars;
@@ -557,71 +563,51 @@ let basic_structurals t =
 
 (* --- Exact certification ------------------------------------------------
 
-   Every column is structural or a row-singleton slack, so the basis
-   factors without touching the float tableau: rows whose own slack is
-   basic are back-substitution, and the structural basic columns against
-   the slack-tight rows form a small dense rational system. *)
+   The float tableau already holds every certificate the exact checks
+   need, up to roundoff: row [r] of B^{-1} sits in row [r]'s slack
+   columns (the tableau is B^{-1} [A | I]), the basic values in [rhs], and
+   the duals in the objective row's slack columns.  Each entry is read
+   back as the small-denominator rational it approximates, and the exact
+   test then decides on the original rows alone — a wrong reconstruction
+   can only fail a check, never pass a false one. *)
 
-(* Solve the k x k rational system in place; [None] on a singular matrix
-   or rational overflow — both mean certification fails and the caller
-   falls back to the exact simplex, so no cleverness is needed here. *)
-let gauss k mat rhs =
+(* Continued-fraction convergents of [v], stopping at the first within
+   [rec_tol] (relative, at least absolute) whose denominator is at most
+   [max_den]; [None] when there is none.  Entries within [eps] of 0 are 0,
+   as in the pivot rules. *)
+let max_den = 1 lsl 24
+let rec_tol = 1e-9
+
+let reconstruct v =
+  let a = Float.abs v in
+  if a <= eps then Some R.zero
+  else if not (a < 1e12) then None
+  else begin
+    let tol = rec_tol *. Float.max 1.0 a in
+    let rec go x h0 k0 h1 k1 =
+      let q = Float.floor x in
+      if (q *. float_of_int k1) +. float_of_int k0 > float_of_int max_den then
+        None
+      else begin
+        let q = int_of_float q in
+        let h = (q * h1) + h0 and k = (q * k1) + k0 in
+        if Float.abs (a -. (float_of_int h /. float_of_int k)) <= tol then
+          Some (R.make (if v < 0.0 then -h else h) k)
+        else
+          let f = x -. Float.floor x in
+          if f <= 0.0 then None else go (1.0 /. f) h1 k1 h k
+      end
+    in
+    go a 0 1 1 0
+  end
+
+(* [Some] of every entry reconstructed, or [None] at the first failure. *)
+let reconstruct_all n get =
   try
-    for col = 0 to k - 1 do
-      let p = ref (-1) in
-      for i = k - 1 downto col do
-        if not (R.is_zero mat.(i).(col)) then p := i
-      done;
-      if !p < 0 then raise Exit;
-      if !p <> col then begin
-        let tmp = mat.(!p) in
-        mat.(!p) <- mat.(col);
-        mat.(col) <- tmp;
-        let tmp = rhs.(!p) in
-        rhs.(!p) <- rhs.(col);
-        rhs.(col) <- tmp
-      end;
-      let inv = R.inv mat.(col).(col) in
-      for i = col + 1 to k - 1 do
-        let f = R.mul mat.(i).(col) inv in
-        if not (R.is_zero f) then begin
-          for j = col to k - 1 do
-            mat.(i).(j) <- R.sub mat.(i).(j) (R.mul f mat.(col).(j))
-          done;
-          rhs.(i) <- R.sub rhs.(i) (R.mul f rhs.(col))
-        end
-      done
-    done;
-    let x = Array.make k R.zero in
-    for i = k - 1 downto 0 do
-      let s = ref rhs.(i) in
-      for j = i + 1 to k - 1 do
-        s := R.sub !s (R.mul mat.(i).(j) x.(j))
-      done;
-      x.(i) <- R.div !s mat.(i).(i)
-    done;
-    Some x
-  with Exit | R.Overflow -> None
-
-(* Split the basis: [t_cols] = structural basic columns (ascending),
-   [t_rows] = rows whose own slack is nonbasic.  A valid basis has
-   |t_cols| = |t_rows|; anything else fails certification. *)
-let basis_split t =
-  let slack_basic = Array.make t.m false in
-  let t_cols = ref [] in
-  for i = t.m - 1 downto 0 do
-    let c = t.basis.(i) in
-    if c < t.n_struct then t_cols := c :: !t_cols
-    else slack_basic.(c - t.n_struct) <- true
-  done;
-  let t_rows = ref [] in
-  for k = t.m - 1 downto 0 do
-    if not slack_basic.(k) then t_rows := k :: !t_rows
-  done;
-  let t_cols = Array.of_list (List.sort compare !t_cols) in
-  let t_rows = Array.of_list !t_rows in
-  if Array.length t_cols <> Array.length t_rows then None
-  else Some (slack_basic, t_cols, t_rows)
+    Some
+      (Array.init n (fun i ->
+           match reconstruct (get i) with Some q -> q | None -> raise Exit))
+  with Exit -> None
 
 let verdict kind ok =
   M.incr (if ok then m_cert_ok else m_cert_fail);
@@ -634,164 +620,128 @@ let verdict kind ok =
         ];
   ok
 
-let certify_optimal t =
-  let fail () =
-    ignore (verdict "optimal" false);
-    None
-  in
-  match basis_split t with
-  | None -> fail ()
-  | Some (slack_basic, t_cols, t_rows) -> (
-      let k = Array.length t_cols in
-      let solved =
-        try
-          let mat =
-            Array.init k (fun ri ->
-                Array.init k (fun ci -> t.ex_rows.(t_rows.(ri)).(t_cols.(ci))))
-          in
-          let rhs = Array.init k (fun ri -> t.ex_rhs.(t_rows.(ri))) in
-          gauss k mat rhs
-        with R.Overflow -> None
-      in
-      match solved with
-      | None -> fail ()
-      | Some x_t -> (
-          try
-            let x = Array.make t.n_struct R.zero in
-            Array.iteri (fun ci c -> x.(c) <- x_t.(ci)) t_cols;
-            let row_residual r =
-              let acc = ref t.ex_rhs.(r) in
-              Array.iteri
-                (fun ci c ->
-                  let a = t.ex_rows.(r).(c) in
-                  if not (R.is_zero a) then
-                    acc := R.sub !acc (R.mul a x_t.(ci)))
-                t_cols;
-              !acc
-            in
-            let primal_ok = ref (Array.for_all (fun v -> R.sign v >= 0) x_t) in
-            for r = 0 to t.m - 1 do
-              (* Slack-tight rows hold exactly by construction; the basic
-                 slacks must come out nonnegative. *)
-              if !primal_ok && slack_basic.(r) then
-                if R.sign (row_residual r) < 0 then primal_ok := false
-            done;
-            let dual_ok =
-              if not !primal_ok then false
-              else if Array.for_all R.is_zero t.ex_obj then
-                (* Pure feasibility: any feasible basic point is optimal. *)
-                true
-              else begin
-                (* y over the slack-tight rows solves the transpose system
-                   (basic slacks cost 0, so their multipliers are 0). *)
-                let mat =
-                  Array.init k (fun ci ->
-                      Array.init k (fun ri ->
-                          t.ex_rows.(t_rows.(ri)).(t_cols.(ci))))
-                in
-                let rhs = Array.init k (fun ci -> t.ex_obj.(t_cols.(ci))) in
-                match gauss k mat rhs with
-                | None -> false
-                | Some y_t ->
-                    (* Nonbasic slack reduced costs: -y_r <= 0. *)
-                    Array.for_all (fun y -> R.sign y >= 0) y_t
-                    &&
-                    let basic_struct = Array.make t.n_struct false in
-                    Array.iter (fun c -> basic_struct.(c) <- true) t_cols;
-                    let ok = ref true in
-                    for j = 0 to t.n_struct - 1 do
-                      if !ok && not basic_struct.(j) then begin
-                        let red = ref t.ex_obj.(j) in
-                        Array.iteri
-                          (fun ri r ->
-                            let a = t.ex_rows.(r).(j) in
-                            if not (R.is_zero a) then
-                              red := R.sub !red (R.mul a y_t.(ri)))
-                          t_rows;
-                        if R.sign !red > 0 then ok := false
-                      end
-                    done;
-                    !ok
-              end
-            in
-            if not (!primal_ok && dual_ok) then fail ()
-            else begin
-              let value = ref R.zero in
-              for j = 0 to t.n_struct - 1 do
-                if not (R.is_zero t.ex_obj.(j)) then
-                  value := R.add !value (R.mul t.ex_obj.(j) x.(j))
-              done;
-              ignore (verdict "optimal" true);
-              Some { Simplex.value = !value; x }
-            end
-          with R.Overflow -> fail ()))
+(* [sum_r w_r * row_r] over the structural columns, skipping zero
+   weights. *)
+let combine t w =
+  let acc = Array.make t.n_struct R.zero in
+  for r = 0 to t.m - 1 do
+    let wr = w.(r) in
+    if not (R.is_zero wr) then
+      Array.iteri
+        (fun j a ->
+          if not (R.is_zero a) then acc.(j) <- R.add acc.(j) (R.mul wr a))
+        t.ex_rows.(r)
+  done;
+  acc
+
+let slack_basic t =
+  let sb = Array.make t.m false in
+  for i = 0 to t.m - 1 do
+    if t.basis.(i) >= t.n_struct then sb.(t.basis.(i) - t.n_struct) <- true
+  done;
+  sb
+
+let farkas_multipliers t r =
+  reconstruct_all t.m (fun k -> A2.get t.a r (t.n_struct + k))
+
+let farkas_holds t z =
+  Array.length z = t.m
+  && Array.for_all (fun v -> R.sign v >= 0) z
+  &&
+  try
+    let zb = ref R.zero in
+    Array.iteri
+      (fun r zr ->
+        if not (R.is_zero zr) then zb := R.add !zb (R.mul zr t.ex_rhs.(r)))
+      z;
+    R.sign !zb < 0 && Array.for_all (fun v -> R.sign v >= 0) (combine t z)
+  with R.Overflow -> false
 
 let certify_infeasible t r =
-  match basis_split t with
-  | None -> verdict "farkas" false
-  | Some (slack_basic, t_cols, t_rows) -> (
-      let k = Array.length t_cols in
-      let certified =
+  verdict "farkas"
+    (match farkas_multipliers t r with
+    | Some z -> farkas_holds t z
+    | None -> false)
+
+let basic_point t =
+  let structural i = t.basis.(i) < t.n_struct in
+  reconstruct_all t.m (fun i -> if structural i then t.rhs.(i) else 0.0)
+  |> Option.map (fun v ->
+         let x = Array.make t.n_struct R.zero in
+         for i = 0 to t.m - 1 do
+           if structural i then x.(t.basis.(i)) <- v.(i)
+         done;
+         x)
+
+let primal_holds t x =
+  Array.length x = t.n_struct
+  && Array.for_all (fun v -> R.sign v >= 0) x
+  &&
+  try
+    let sb = slack_basic t in
+    (* A basic slack is its row's nonnegative residual; a nonbasic one is
+       zero, so its row holds with equality: B x_B = b_T. *)
+    let rec rows r =
+      r = t.m
+      ||
+      let res = ref t.ex_rhs.(r) in
+      Array.iteri
+        (fun j a ->
+          if not (R.is_zero a || R.is_zero x.(j)) then
+            res := R.sub !res (R.mul a x.(j)))
+        t.ex_rows.(r);
+      let s = R.sign !res in
+      (if sb.(r) then s >= 0 else s = 0) && rows (r + 1)
+    in
+    rows 0
+  with R.Overflow -> false
+
+(* Dual feasibility of the current basis, from the objective row's slack
+   entries: y >= 0 (zero on basic slacks), B^T y = c_B exactly and every
+   nonbasic structural reduced cost c_j - y.A_j <= 0.  With [primal_holds]
+   that is complementary slackness, so the basic point is optimal. *)
+let dual_holds t =
+  let sb = slack_basic t in
+  match
+    reconstruct_all t.m (fun k ->
+        if sb.(k) then 0.0 else t.obj.(t.n_struct + k))
+  with
+  | None -> false
+  | Some y -> (
+      Array.for_all (fun v -> R.sign v >= 0) y
+      &&
+      try
+        let ya = combine t y in
+        let basic = Array.make t.n_struct false in
+        for i = 0 to t.m - 1 do
+          if t.basis.(i) < t.n_struct then basic.(t.basis.(i)) <- true
+        done;
+        let rec cols j =
+          j = t.n_struct
+          ||
+          let s = R.sign (R.sub t.ex_obj.(j) ya.(j)) in
+          (if basic.(j) then s = 0 else s <= 0) && cols (j + 1)
+        in
+        cols 0
+      with R.Overflow -> false)
+
+let certify_optimal t =
+  let sol =
+    match basic_point t with
+    | Some x
+      when primal_holds t x
+           && (Array.for_all R.is_zero t.ex_obj || dual_holds t) -> (
+        (* The basic point of a feasibility model is optimal by
+           definition. *)
         try
-          (* z = row r of B^{-1}: B^T z = e_r by basis position.  Basic
-             slacks pin their z component to the unit entry; the
-             structural basic columns give the transpose system over the
-             slack-tight rows. *)
-          let z_fixed = Array.make t.m R.zero in
-          for i = 0 to t.m - 1 do
-            if t.basis.(i) >= t.n_struct then
-              z_fixed.(t.basis.(i) - t.n_struct) <-
-                (if i = r then R.one else R.zero)
-          done;
-          let pos = Array.make t.n_struct (-1) in
-          for i = 0 to t.m - 1 do
-            if t.basis.(i) < t.n_struct then pos.(t.basis.(i)) <- i
-          done;
-          let mat =
-            Array.init k (fun ci ->
-                Array.init k (fun ri -> t.ex_rows.(t_rows.(ri)).(t_cols.(ci))))
-          in
-          let rhs =
-            Array.init k (fun ci ->
-                let j = t_cols.(ci) in
-                let target = if pos.(j) = r then R.one else R.zero in
-                let acc = ref target in
-                for row = 0 to t.m - 1 do
-                  if slack_basic.(row) then begin
-                    let zr = z_fixed.(row) in
-                    if not (R.is_zero zr) then
-                      acc := R.sub !acc (R.mul t.ex_rows.(row).(j) zr)
-                  end
-                done;
-                !acc)
-          in
-          match gauss k mat rhs with
-          | None -> false
-          | Some z_t ->
-              let z = z_fixed in
-              Array.iteri (fun ri row -> z.(row) <- z_t.(ri)) t_rows;
-              (* Farkas: z >= 0 (slack columns), z.A >= 0 (structural
-                 columns) and z.b < 0 refute Ax <= b, x >= 0. *)
-              Array.for_all (fun v -> R.sign v >= 0) z
-              && (let zb = ref R.zero in
-                  for row = 0 to t.m - 1 do
-                    if not (R.is_zero z.(row)) then
-                      zb := R.add !zb (R.mul z.(row) t.ex_rhs.(row))
-                  done;
-                  R.sign !zb < 0)
-              &&
-              let ok = ref true in
-              for j = 0 to t.n_struct - 1 do
-                if !ok then begin
-                  let za = ref R.zero in
-                  for row = 0 to t.m - 1 do
-                    if not (R.is_zero z.(row)) then
-                      za := R.add !za (R.mul z.(row) t.ex_rows.(row).(j))
-                  done;
-                  if R.sign !za < 0 then ok := false
-                end
-              done;
-              !ok
-        with R.Overflow -> false
-      in
-      verdict "farkas" certified)
+          let value = ref R.zero in
+          Array.iteri
+            (fun j c ->
+              if not (R.is_zero c) then value := R.add !value (R.mul c x.(j)))
+            t.ex_obj;
+          Some { Simplex.value = !value; x }
+        with R.Overflow -> None)
+    | _ -> None
+  in
+  ignore (verdict "optimal" (sol <> None));
+  sol

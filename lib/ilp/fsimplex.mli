@@ -12,11 +12,23 @@
     The tableau keeps every constraint in [<=]-form ([Eq] is appended as
     the [Le]/[Ge] pair, [Ge] is negated), so each row owns exactly one
     slack column and the start basis is all-slack.  That shape is what
-    makes certification cheap: every basic column is either a row
-    singleton (a slack, solved by back-substitution) or structural, and
-    the structural basic columns form a small dense rational system —
-    certification never touches the float tableau, only the exact
-    row store kept alongside it.
+    makes certification cheap: the float tableau is B^{-1} [A | I], so it
+    already holds approximations of every certificate — the basic values
+    in the right-hand side, row [r] of B^{-1} in row [r]'s slack columns,
+    the duals in the objective row's slack columns.  Certification reads
+    them back as rationals and checks them against the exact ([<=]-form)
+    row store kept alongside the tableau; it never factors the basis.
+
+    {b Reconstruction rule.}  A float entry within [1e-9] of zero reads
+    as 0.  Any other entry reads as the first continued-fraction
+    convergent p/q of its value that lies within [1e-9] of it (relative
+    once the value exceeds 1), with q at most 2{^24}; an entry with no
+    such convergent fails certification.  The exact checks that follow
+    decide on the reconstructed values alone, so a wrong reconstruction
+    can only fail a check — answering through the exact fallback — and
+    never certify a false claim.  A reconstructed x that passes
+    [B x_B = b_T] with a nonsingular basis is the basis's unique basic
+    solution, the point an exact factorization would compute.
 
     Mirrors the {!Simplex.Tab} warm-start surface ([add_row] /
     [snapshot] / [restore] / [reoptimize_dual]) so {!Branch_bound} can
@@ -122,18 +134,32 @@ val basic_structurals : t -> int list
     {!solve_lp}'s [warm] consumes. *)
 
 val certify_optimal : t -> Simplex.solution option
-(** Refactor the current basis over {!Mcs_util.Ratio}: solve the
-    structural-basic system exactly, back-substitute the slack rows, and
-    verify primal feasibility plus — when the objective is nonzero —
-    dual feasibility (the basic solution of a feasibility model is
-    optimal by definition).  [Some] carries the {e exact} solution and
-    objective value; [None] (wrong basis, singular system, or rational
-    overflow) means the float path lied and the caller must fall back.
-    Increments [ilp.certify.ok]/[ilp.certify.fail] and journals the
-    verdict. *)
+(** Reconstruct the basic point x from the right-hand side and check it
+    exactly ({!primal_holds}); when the objective is nonzero, also
+    reconstruct the duals y and check dual feasibility: y >= 0,
+    [B^T y = c_B] and every nonbasic reduced cost [c_j - y.A_j <= 0] (the
+    basic solution of a feasibility model is optimal by definition).
+    [Some] carries the {e exact} solution and objective value; [None]
+    (a failed reconstruction or check, or rational overflow) means the
+    float path lied and the caller must fall back.  Increments
+    [ilp.certify.ok]/[ilp.certify.fail] and journals the verdict. *)
 
 val certify_infeasible : t -> int -> bool
 (** [certify_infeasible t r] checks the float path's infeasibility claim
-    for tableau row [r] with an exact Farkas certificate: solve
-    [B^T z = e_r], then verify [z >= 0], [z . A >= 0] columnwise and
-    [z . b < 0].  Same counters/journal as {!certify_optimal}. *)
+    for tableau row [r]: [farkas_holds t z] for the reconstructed
+    [farkas_multipliers t r].  Same counters/journal as
+    {!certify_optimal}. *)
+
+val farkas_multipliers : t -> int -> Mcs_util.Ratio.t array option
+(** Row [r] of B^{-1}, one entry per tableau row, reconstructed from the
+    slack columns of the float tableau's row [r]. *)
+
+val farkas_holds : t -> Mcs_util.Ratio.t array -> bool
+(** The exact Farkas test over the [<=]-form rows: [z >= 0], [z.A >= 0]
+    columnwise and [z.b < 0], which refutes [Ax <= b, x >= 0]. *)
+
+val primal_holds : t -> Mcs_util.Ratio.t array -> bool
+(** The exact primal test of a structural point [x] against the current
+    basis: [x >= 0], every row whose slack is basic holds ([A_r x <= b_r]),
+    and every row whose slack is nonbasic holds with equality
+    ([B x_B = b_T]). *)

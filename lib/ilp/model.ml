@@ -158,8 +158,7 @@ let wrap_solution t (s : Simplex.solution) =
         R.add s.x.(x) (R.of_int infos.(x).lo));
   }
 
-let solve ?budget ?(method_ = `Branch_bound)
-    ?(arith = Fsimplex.arith_of_env ()) ?warm_key t =
+let solve ?budget ?(method_ = `Branch_bound) ~arith ?warm_key t =
   let p, integer = to_problem t in
   match method_ with
   | `Branch_bound -> (

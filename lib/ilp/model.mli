@@ -89,7 +89,7 @@ val to_problem : t -> Simplex.problem * bool array
 val solve :
   ?budget:Mcs_resilience.Budget.t ->
   ?method_:[ `Branch_bound | `Gomory ] ->
-  ?arith:Fsimplex.arith ->
+  arith:Fsimplex.arith ->
   ?warm_key:string ->
   t ->
   outcome
@@ -97,10 +97,10 @@ val solve :
     exhaustion reports [Unknown] (the cutting-plane loop cannot produce a
     partial incumbent).
 
-    [arith] (default {!Fsimplex.arith_of_env}, i.e. float-first unless
-    [MCS_ARITH=rational]) selects the solver arithmetic for the
-    branch-and-bound method; every solution is exact in either mode (the
-    float path certifies and re-derives its answers over rationals).
+    [arith] selects the solver arithmetic for the branch-and-bound
+    method (a flow takes it from its policy); every solution is exact in
+    either mode (the float path certifies and re-derives its answers over
+    rationals).
     [warm_key] names this call site in the cross-grid {!Warm} registry:
     the previous basis stored under the key steers the root LP as a warm
     start, and this solve's root basis is stored back (float mode only —

@@ -1,13 +1,15 @@
-(* Golden records of the I/O-constrained list schedules: Chapter 4's
-   dynamic bus reassignment ([Reassign.hook], §4.2) and its static
-   baseline, and Chapter 6's sub-slot scheduling ([Subbus.schedule_over],
-   §6.2), dynamic and static.  Each record holds the number of I/O
-   feasibility tests the scheduler asked ([ls.io_feasibility_tests]) and,
-   on success, digests of the per-operation control steps, of the final
-   assignment and of the allocation table; on failure, the failing
-   control step and a digest of the reason.  The hooks are deterministic,
-   so a change that claims to answer the same questions the same way must
-   reproduce every record exactly.
+(* Golden records of the I/O-constrained list schedules: Chapter 3's
+   pin-allocation checker ([Simple_part.hook], Fig. 3.4; see the Ch. 3
+   section below), Chapter 4's dynamic bus reassignment ([Reassign.hook],
+   §4.2) and its static baseline, and Chapter 6's sub-slot scheduling
+   ([Subbus.schedule_over], §6.2), dynamic and static.  Each Ch. 4/6
+   record holds the number of I/O feasibility tests the scheduler asked
+   ([ls.io_feasibility_tests]) and, on success, digests of the
+   per-operation control steps, of the final assignment and of the
+   allocation table; on failure, the failing control step and a digest of
+   the reason.  The hooks are deterministic, so a change that claims to
+   answer the same questions the same way must reproduce every record
+   exactly.
 
    The cases schedule over every connection [Golden_connect] pins whose
    search succeeds: every slot cap of the Ch. 4 (both port modes) and
@@ -124,6 +126,58 @@ let record { conn = c; mlib } =
       | Ok ra -> both (ch6 c mlib) ra
       | Error _ -> None)
 
+(* --- Chapter 3: the pin-allocation hook ----------------------------------
+
+   One record per Ch. 3 schedule: the number of I/O feasibility questions
+   [Simple_part.hook] was asked, a digest of the [(op, cstep, answer)]
+   sequence, and the schedule (control-step digest) or the failure.  The
+   hook decides its ILP exactly in either arithmetic, so both must
+   reproduce the committed record (see [float_only] for the one
+   exception).  The cases are the simple bundled designs at rates 2-5
+   (ar-simple) and 2-4 (subbus-demo), and 50 fixed-seed [rsimple:]
+   designs at rates 2-4.  The records were taken before the hook kept
+   its refutations and witness. *)
+
+module SP = Mcs_core.Simple_part
+
+let ch3_points = [ ("ar-simple", [ 2; 3; 4; 5 ]); ("subbus-demo", [ 2; 3; 4 ]) ]
+
+let ch3_random =
+  List.init 50 (fun i ->
+      ( Printf.sprintf "rsimple:%d:%d:%d" (3001 + (7717 * i)) (2 + (i mod 2))
+          (4 + (i / 2 mod 3)),
+        [ 2; 3; 4 ] ))
+
+(* [(key, design, rate)], keyed like "<design> ch3 r<rate>". *)
+let ch3_cases () =
+  List.concat_map
+    (fun (name, rates) ->
+      let d = G.resolve name in
+      List.map
+        (fun rate -> (Printf.sprintf "%s ch3 r%d" name rate, d, rate))
+        rates)
+    (ch3_points @ ch3_random)
+
+let ch3_record ~arith (d : Benchmarks.design) ~rate =
+  let cdfg = d.Benchmarks.cdfg in
+  let cons = Benchmarks.constraints_for d ~rate in
+  let hook = SP.hook ~arith cdfg cons ~rate in
+  let asked = Buffer.create 512 and n = ref 0 in
+  let io_can sched op ~cstep =
+    let yes = hook.LS.io_can sched op ~cstep in
+    incr n;
+    Printf.bprintf asked "%d@%d:%c;" op cstep (if yes then 'y' else 'n');
+    yes
+  in
+  let outcome =
+    let io_hook = { hook with LS.io_can } in
+    match LS.run cdfg d.Benchmarks.mlib cons ~rate ~io_hook () with
+    | Error f ->
+        failed (Printf.sprintf "cstep %d: %s" f.LS.at_cstep f.LS.reason)
+    | Ok sched -> "ok " ^ digest (render_csteps sched)
+  in
+  Printf.sprintf "%d %s %s" !n (digest (Buffer.contents asked)) outcome
+
 (* The paper and generated connection cases of [Golden_connect] (not its
    compaction points, which pin the search only), each with its design's
    module library: a key starts with the design name. *)
@@ -148,14 +202,20 @@ let print_all oc =
       match record c with
       | Some r -> Printf.fprintf oc "%s\t%s\n%!" c.conn.G.key r
       | None -> ())
-    (cases ())
+    (cases ());
+  List.iter
+    (fun (key, d, rate) ->
+      Printf.fprintf oc "%s\t%s\n%!" key
+        (ch3_record ~arith:Mcs_ilp.Fsimplex.Float_certified d ~rate))
+    (ch3_cases ())
 
-(* [(key, committed, recomputed)] for every case whose record differs
-   from (or is missing in) the committed fixture, and every committed
-   record no case reproduces. *)
+(* [(key, committed, recomputed)] for every Ch. 4/6 case whose record
+   differs from (or is missing in) the committed fixture, and every
+   committed record no case reproduces. *)
 let mismatches () =
   let golden = Hashtbl.of_seq (List.to_seq (G.load "golden_sched.txt")) in
   let seen = Hashtbl.create 4096 in
+  List.iter (fun (key, _, _) -> Hashtbl.replace seen key ()) (ch3_cases ());
   let differing =
     List.filter_map
       (fun c ->
@@ -177,9 +237,39 @@ let mismatches () =
         if Hashtbl.mem seen key then acc else (key, want, "(no case)") :: acc)
       golden []
 
+(* The exact search alone takes ~12 s on this case's hardest questions
+   (at rate 5 the Bland-rule trees of the rational branch and bound grow
+   far beyond the float search's), so only the float arithmetic replays
+   it here. *)
+let float_only = [ "ar-simple ch3 r5" ]
+
+(* The same for the Ch. 3 records, recomputed in each arithmetic; a key
+   names the arithmetic that missed. *)
+let ch3_mismatches () =
+  let golden = G.load "golden_sched.txt" in
+  List.concat_map
+    (fun (key, d, rate) ->
+      let want =
+        Option.value ~default:"(missing)" (List.assoc_opt key golden)
+      in
+      List.filter_map
+        (fun arith ->
+          let got = ch3_record ~arith d ~rate in
+          if String.equal want got then None
+          else
+            Some
+              ( Printf.sprintf "%s [%s]" key
+                  (Mcs_ilp.Fsimplex.arith_to_string arith),
+                want,
+                got ))
+        (Mcs_ilp.Fsimplex.Float_certified
+        ::
+        (if List.mem key float_only then []
+         else [ Mcs_ilp.Fsimplex.Rational ])))
+    (ch3_cases ())
+
 (* Fails the current test, naming the first few differing records. *)
-let check () =
-  match mismatches () with
+let report = function
   | [] -> ()
   | ms ->
       Alcotest.failf "%d golden schedule record(s) differ:\n%s"
@@ -189,3 +279,6 @@ let check () =
               (fun (k, want, got) ->
                 Printf.sprintf "  %s\n    want %s\n    got  %s" k want got)
               (Mcs_util.Listx.take 5 ms)))
+
+let check () = report (mismatches ())
+let check_ch3 () = report (ch3_mismatches ())

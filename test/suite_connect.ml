@@ -4,6 +4,9 @@
 open Mcs_cdfg
 open Mcs_connect
 
+(* The arithmetic the default flow policy runs ([MCS_ARITH] decides). *)
+let arith = Mcs_flow.Flow.default_policy.Mcs_flow.Flow.arith
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -254,7 +257,8 @@ let test_ch4_ilp_small () =
   let d = Benchmarks.cond_demo () in
   let cons = Benchmarks.constraints_for d ~rate:2 in
   match
-    Ilp_gen.Ch4.solve d.Benchmarks.cdfg cons ~rate:2 ~mode:Connection.Unidir
+    Ilp_gen.Ch4.solve ~arith d.Benchmarks.cdfg cons ~rate:2
+      ~mode:Connection.Unidir
       ~max_buses:5
   with
   | `Sat (assign, pins) ->
@@ -278,8 +282,8 @@ let test_ch4_ilp_detects_infeasible () =
       [ (0, 4); (1, 4); (2, 4); (3, 4) ]
   in
   checkb "unsat under 4-pin budgets" true
-    (Ilp_gen.Ch4.solve d.Benchmarks.cdfg cons ~rate:2 ~mode:Connection.Unidir
-       ~max_buses:5
+    (Ilp_gen.Ch4.solve ~arith d.Benchmarks.cdfg cons ~rate:2
+       ~mode:Connection.Unidir ~max_buses:5
     = `Unsat)
 
 let test_ch6_ilp_micro () =
@@ -300,10 +304,10 @@ let test_ch6_ilp_micro () =
   in
   Alcotest.(check (option bool))
     "split makes one slot enough" (Some true)
-    (Ilp_gen.Ch6.feasible cdfg cons ~rate:1 ~max_buses:1 ~subs:2);
+    (Ilp_gen.Ch6.feasible ~arith cdfg cons ~rate:1 ~max_buses:1 ~subs:2);
   Alcotest.(check (option bool))
     "without sub-buses one slot is too few" (Some false)
-    (Ilp_gen.Ch6.feasible cdfg cons ~rate:1 ~max_buses:1 ~subs:1)
+    (Ilp_gen.Ch6.feasible ~arith cdfg cons ~rate:1 ~max_buses:1 ~subs:1)
 
 
 let test_heuristic_deterministic () =

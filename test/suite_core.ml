@@ -6,6 +6,9 @@ open Mcs_cdfg
 open Mcs_core
 module F = Mcs_flow.Flow
 
+(* The arithmetic the default flow policy runs ([MCS_ARITH] decides). *)
+let arith = Mcs_flow.Flow.default_policy.Mcs_flow.Flow.arith
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -50,7 +53,8 @@ let test_pin_ilp_feasible_baseline () =
   let d = Benchmarks.ar_simple () in
   let cons = Benchmarks.constraints_for d ~rate:2 in
   checkb "paper budgets feasible" true
-    (Simple_part.Pin_ilp.feasible d.Benchmarks.cdfg cons ~rate:2 ~fixed:[])
+    (Simple_part.Pin_ilp.feasible ~arith d.Benchmarks.cdfg cons ~rate:2
+       ~fixed:[])
 
 let test_pin_ilp_infeasible_when_tight () =
   let d = Benchmarks.ar_simple () in
@@ -59,7 +63,8 @@ let test_pin_ilp_infeasible_when_tight () =
     Constraints.with_pins (Benchmarks.constraints_for d ~rate:2) [ (1, 40) ]
   in
   checkb "40 pins on P1 infeasible" false
-    (Simple_part.Pin_ilp.feasible d.Benchmarks.cdfg cons ~rate:2 ~fixed:[])
+    (Simple_part.Pin_ilp.feasible ~arith d.Benchmarks.cdfg cons ~rate:2
+       ~fixed:[])
 
 let test_pin_ilp_detects_bad_fixing () =
   let d = Benchmarks.ar_simple () in
@@ -72,7 +77,7 @@ let test_pin_ilp_detects_bad_fixing () =
   in
   let fixed = List.map (fun w -> (w, 0)) p1_inputs in
   checkb "overfull group rejected" false
-    (Simple_part.Pin_ilp.feasible cdfg cons ~rate:2 ~fixed)
+    (Simple_part.Pin_ilp.feasible ~arith cdfg cons ~rate:2 ~fixed)
 
 let test_pin_ilp_gomory_agrees () =
   let d = Benchmarks.ar_simple () in
@@ -82,9 +87,10 @@ let test_pin_ilp_gomory_agrees () =
   List.iter
     (fun fixed ->
       checkb "methods agree" true
-        (Simple_part.Pin_ilp.feasible ~method_:`Gomory cdfg cons ~rate:2 ~fixed
-        = Simple_part.Pin_ilp.feasible ~method_:`Branch_bound cdfg cons ~rate:2
-            ~fixed))
+        (Simple_part.Pin_ilp.feasible ~arith ~method_:`Gomory cdfg cons
+           ~rate:2 ~fixed
+        = Simple_part.Pin_ilp.feasible ~arith ~method_:`Branch_bound cdfg cons
+            ~rate:2 ~fixed))
     [ []; some_fix ]
 
 (* --- Chapter 3 flow --- *)
@@ -675,6 +681,86 @@ let test_golden_subbus () =
    every Ch. 4 and Ch. 6 schedule in the golden schedule fixture. *)
 let test_golden_sched () = Golden_sched.check ()
 
+(* The Ch. 3 hook answers from its refutations and witness exactly as
+   solving every question would: both hooks see the same questions and
+   commits, and the answers must agree.  Each case schedules twice, the
+   second time replaying the first schedule's early half as fixed
+   placements — commits the hook is never asked about, which must drop a
+   witness they do not fit. *)
+let test_ch3_hook_history_exact () =
+  let module LS = Mcs_sched.List_sched in
+  let module Sched = Mcs_sched.Schedule in
+  let check name (d : Benchmarks.design) rate =
+    let cdfg = d.Benchmarks.cdfg and mlib = d.Benchmarks.mlib in
+    let cons = Benchmarks.constraints_for d ~rate in
+    let run ?fixed () =
+      let hook = Simple_part.hook ~arith cdfg cons ~rate in
+      let committed = ref [] in
+      let io_can sched op ~cstep =
+        let yes = hook.LS.io_can sched op ~cstep in
+        let k = cstep mod rate in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s r%d: op %d at group %d" name rate op k)
+          (Simple_part.Pin_ilp.feasible ~arith cdfg cons ~rate
+             ~fixed:((op, k) :: !committed))
+          yes;
+        yes
+      in
+      let io_commit sched op ~cstep =
+        committed := (op, cstep mod rate) :: !committed;
+        hook.LS.io_commit sched op ~cstep
+      in
+      LS.run cdfg mlib cons ~rate ~io_hook:{ LS.io_can; io_commit } ?fixed ()
+    in
+    match run () with
+    | Error _ -> ()
+    | Ok sched ->
+        let cut = Sched.pipe_length sched / 2 in
+        let fixed =
+          List.filter_map
+            (fun op ->
+              if Sched.cstep sched op < cut then Some (op, Sched.cstep sched op)
+              else None)
+            (Cdfg.ops cdfg)
+        in
+        ignore (run ~fixed ())
+  in
+  let ar_simple = Benchmarks.ar_simple () in
+  List.iter (fun rate -> check "ar-simple" ar_simple rate) [ 2; 3; 4 ];
+  for i = 0 to 29 do
+    let name =
+      Printf.sprintf "rsimple:%d:%d:%d" (5003 + (4409 * i)) (2 + (i mod 2))
+        (4 + (i / 2 mod 3))
+    in
+    let d = Golden_connect.resolve name in
+    List.iter (fun rate -> check name d rate) [ 2; 3; 4 ]
+  done
+
+(* A commit the witness does not cover drops it.  At ar-simple r2, I1 in
+   group 0 has a completing allocation; committing X1 to group 0 without
+   asking (as a fixed replay does) leaves none for X2 in group 0.  The
+   float search's point for I1 puts X2 in group 0, so a kept witness
+   would answer yes. *)
+let test_ch3_uncovered_commit_drops_witness () =
+  let module LS = Mcs_sched.List_sched in
+  let d = Benchmarks.ar_simple () in
+  let cdfg = d.Benchmarks.cdfg and rate = 2 in
+  let cons = Benchmarks.constraints_for d ~rate in
+  let op name =
+    List.find (fun w -> String.equal (Cdfg.name cdfg w) name) (Cdfg.io_ops cdfg)
+  in
+  let sched = Mcs_sched.Schedule.create cdfg d.Benchmarks.mlib ~rate in
+  let hook = Simple_part.hook ~arith cdfg cons ~rate in
+  Alcotest.(check bool) "I1 fits group 0" true
+    (hook.LS.io_can sched (op "I1") ~cstep:0);
+  hook.LS.io_commit sched (op "X1") ~cstep:0;
+  Alcotest.(check bool) "X2 no longer fits group 0" false
+    (hook.LS.io_can sched (op "X2") ~cstep:0)
+
+(* The Ch. 3 hook's (op, cstep, answer) sequence and schedule, in both
+   arithmetics, for the simple bundled designs and 50 generated ones. *)
+let test_golden_ch3 () = Golden_sched.check_ch3 ()
+
 let extra_tests =
   [
     Alcotest.test_case "Improve never worsens the pipe" `Slow test_improve_never_worse;
@@ -689,6 +775,11 @@ let extra_tests =
     Alcotest.test_case "golden Ch. 4/6 schedule records" `Quick
       test_golden_sched;
     QCheck_alcotest.to_alcotest prop_subbus_oracle;
+    Alcotest.test_case "golden Ch. 3 hook records" `Quick test_golden_ch3;
+    Alcotest.test_case "Ch. 3 hook history answers exactly" `Quick
+      test_ch3_hook_history_exact;
+    Alcotest.test_case "Ch. 3 uncovered commit drops the witness" `Quick
+      test_ch3_uncovered_commit_drops_witness;
   ]
 
 let suite = ("core", base_tests @ extra_tests)

@@ -4,6 +4,9 @@
 module R = Mcs_util.Ratio
 open Mcs_ilp
 
+(* The arithmetic the default flow policy runs ([MCS_ARITH] decides). *)
+let arith = Mcs_flow.Flow.default_policy.Mcs_flow.Flow.arith
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -456,6 +459,140 @@ let test_float_root_unbounded_falls_back () =
   checkb "no root basis" true (basis = []);
   checki "one arith fallback" 1 (Obs.count m_arith_fallbacks - fb0)
 
+(* --- Certificates by reconstruction --- *)
+
+(* Small LPs with 2-4 variables, [Le]/[Ge]/[Eq] rows and (usually) a box,
+   over small integers: enough infeasible, degenerate and fractional
+   cases to exercise both certificates. *)
+let random_lp_arb =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    int_range 2 4 >>= fun n ->
+    let coefs = array_size (return n) (int_range (-4) 4) in
+    let row =
+      triple coefs (int_range 0 9) (int_range (-4) 12) >|= fun (c, k, b) ->
+      let rel =
+        if k < 5 then Simplex.Le else if k < 8 then Simplex.Ge else Simplex.Eq
+      in
+      (Array.map R.of_int c, rel, R.of_int b)
+    in
+    let box =
+      List.init n (fun j ->
+          let c = Array.make n R.zero in
+          c.(j) <- R.one;
+          (c, Simplex.Le, R.of_int 6))
+    in
+    quad coefs (list_size (int_range 1 5) row) bool (int_range 0 9)
+    >|= fun (obj, rows, boxed, zero_obj) ->
+    {
+      Simplex.n_vars = n;
+      objective =
+        (if zero_obj < 3 then Array.make n R.zero else Array.map R.of_int obj);
+      rows = (rows @ if boxed then box else []);
+    }
+  in
+  make gen
+
+(* Every certified float verdict matches the exact simplex, and the exact
+   checks reject a perturbed certificate: one positive Farkas multiplier
+   negated, or one basic value moved by 1/7 either way. *)
+let prop_certificates_sound =
+  QCheck.Test.make ~name:"reconstructed certificates match the exact simplex"
+    ~count:300 random_lp_arb (fun p ->
+      let t = Fsimplex.create p in
+      let exact = Simplex.solve p in
+      let sound =
+        match Fsimplex.solve_lp t with
+        | `Infeasible r -> (
+            match Fsimplex.farkas_multipliers t r with
+            | Some z when Fsimplex.farkas_holds t z ->
+                exact = Simplex.Infeasible
+                && Array.for_all
+                     (fun i ->
+                       R.sign z.(i) <= 0
+                       ||
+                       let z' = Array.copy z in
+                       z'.(i) <- R.neg z.(i);
+                       not (Fsimplex.farkas_holds t z'))
+                     (Array.init (Array.length z) Fun.id)
+            | _ -> true)
+        | `Optimal -> (
+            match (Fsimplex.certify_optimal t, exact) with
+            | None, _ -> true
+            | Some s, Simplex.Optimal e ->
+                R.equal s.Simplex.value e.Simplex.value
+                && Fsimplex.primal_holds t s.Simplex.x
+                && List.for_all
+                     (fun j ->
+                       List.for_all
+                         (fun d ->
+                           let x' = Array.copy s.Simplex.x in
+                           x'.(j) <- R.add x'.(j) d;
+                           not (Fsimplex.primal_holds t x'))
+                         [ R.make 1 7; R.make (-1) 7 ])
+                     (Fsimplex.basic_structurals t)
+            | Some _, _ -> false)
+        | `Unbounded | `Stuck -> true
+      in
+      Fsimplex.dispose t;
+      sound)
+
+(* The float search's proven verdicts on the unlimited (M)ILPs of the
+   golden fixture match the exact search's: every infeasibility, and the
+   optimum of every pure integer program.  (A mixed program's optimum is
+   left out: the float search prunes a node whose bound does not clear
+   the incumbent by half a unit, which assumes an integral objective, and
+   5 of the fixture's mixed programs end below the exact optimum.) *)
+let test_golden_ilp_verdicts_exact () =
+  for i = 0 to 599 do
+    let c = Golden_ilp.random_case i in
+    if c.Golden_ilp.limits = Golden_ilp.no_limits then
+      let integer = c.Golden_ilp.integer and p = c.Golden_ilp.problem in
+      let f = fst (Branch_bound.solve_float ~integer p) in
+      let proven =
+        match f with
+        | Branch_bound.Infeasible -> true
+        | Branch_bound.Optimal _ -> Array.for_all Fun.id integer
+        | _ -> false
+      in
+      if proven then
+        checkb
+          (Printf.sprintf "%s: float verdict is exact" c.Golden_ilp.key)
+          true
+          (same_bb_result f (Branch_bound.solve ~integer p))
+  done
+
+(* x + y <= 2 against x + y >= 3: the multipliers (1, 1) refute it.
+   Dropping either one leaves no refutation, and (3/2, 1) combines the
+   rows to 0 <= 0, which refutes nothing. *)
+let test_farkas_perturbed_rejected () =
+  let p =
+    lp 2 [ 0; 0 ] [ ([ 1; 1 ], Simplex.Le, 2); ([ 1; 1 ], Simplex.Ge, 3) ]
+  in
+  let t = Fsimplex.create p in
+  (match Fsimplex.solve_lp t with
+  | `Infeasible r -> (
+      match Fsimplex.farkas_multipliers t r with
+      | None -> Alcotest.fail "no multipliers reconstructed"
+      | Some z ->
+          checkb "reconstructed multipliers refute" true
+            (Fsimplex.farkas_holds t z);
+          Array.iteri
+            (fun i zi ->
+              if R.sign zi > 0 then begin
+                let z' = Array.copy z in
+                z'.(i) <- R.zero;
+                checkb
+                  (Printf.sprintf "multiplier %d dropped is rejected" i)
+                  false (Fsimplex.farkas_holds t z')
+              end)
+            z;
+          checkb "multipliers summing to 0 <= 0 are rejected" false
+            (Fsimplex.farkas_holds t [| R.make 3 2; R.one |]))
+  | _ -> Alcotest.fail "expected an infeasible LP");
+  Fsimplex.dispose t
+
 (* Every record of the golden fixture: the three searches over seeded
    random ILPs (node limits, pivot budgets, unbounded relaxations), the
    ill-conditioned fallback LP and the paper pin ILPs. *)
@@ -520,7 +657,7 @@ let test_model_knapsack () =
     (Model.const 4);
   Model.set_objective m
     (Model.sum [ Model.term 5 a; Model.term 4 b; Model.term 3 c ]);
-  match Model.solve m with
+  match Model.solve ~arith m with
   | Model.Optimal s ->
       checkb "objective 8" true (R.equal s.Model.objective (R.of_int 8));
       checki "a" 1 (Model.int_value s a);
@@ -532,7 +669,7 @@ let test_model_negative_lower_bound () =
   let m = Model.create () in
   let x = Model.int_var m ~lo:(-5) ~hi:5 "x" in
   Model.set_objective m (Model.scale (-1) (Model.v x));
-  match Model.solve m with
+  match Model.solve ~arith m with
   | Model.Optimal s ->
       checki "x at lower bound" (-5) (Model.int_value s x);
       checkb "objective 5" true (R.equal s.Model.objective (R.of_int 5))
@@ -546,7 +683,7 @@ let test_model_max_bin () =
   Model.add_eq m (Model.v x) (Model.const 0);
   Model.add_eq m (Model.v y) (Model.const 1);
   Model.set_objective m (Model.const 0);
-  match Model.solve m with
+  match Model.solve ~arith m with
   | Model.Optimal s -> checki "z = max(0,1)" 1 (Model.int_value s z)
   | _ -> Alcotest.fail "failed"
 
@@ -559,7 +696,7 @@ let test_model_xor () =
       Model.eq_xor_bin m z x y;
       Model.add_eq m (Model.v x) (Model.const a);
       Model.add_eq m (Model.v y) (Model.const b);
-      match Model.solve m with
+      match Model.solve ~arith m with
       | Model.Optimal s ->
           checki (Printf.sprintf "%d xor %d" a b) expect (Model.int_value s z)
       | _ -> Alcotest.fail "failed")
@@ -572,7 +709,7 @@ let test_model_implication () =
   Model.implies_le m ~big_m:100 b (Model.v x) (Model.const 3);
   Model.add_eq m (Model.v b) (Model.const 1);
   Model.set_objective m (Model.v x);
-  match Model.solve m with
+  match Model.solve ~arith m with
   | Model.Optimal s -> checki "x forced <= 3" 3 (Model.int_value s x)
   | _ -> Alcotest.fail "failed"
 
@@ -583,7 +720,7 @@ let test_model_iff_positive () =
   Model.iff_positive m ~big_m:10 b (Model.v x);
   Model.add_eq m (Model.v b) (Model.const 0);
   Model.set_objective m (Model.v x);
-  (match Model.solve m with
+  (match Model.solve ~arith m with
   | Model.Optimal s -> checki "x forced 0" 0 (Model.int_value s x)
   | _ -> Alcotest.fail "failed");
   let m2 = Model.create () in
@@ -592,7 +729,7 @@ let test_model_iff_positive () =
   Model.iff_positive m2 ~big_m:10 b2 (Model.v x2);
   Model.add_eq m2 (Model.v b2) (Model.const 1);
   Model.set_objective m2 (Model.scale (-1) (Model.v x2));
-  match Model.solve m2 with
+  match Model.solve ~arith m2 with
   | Model.Optimal s -> checki "x forced >= 1" 1 (Model.int_value s x2)
   | _ -> Alcotest.fail "failed"
 
@@ -601,7 +738,7 @@ let test_model_gomory_method () =
   let x = Model.int_var m ~hi:10 "x" and y = Model.int_var m ~hi:10 "y" in
   Model.add_le m (Model.add (Model.term 2 x) (Model.term 2 y)) (Model.const 7);
   Model.set_objective m (Model.add (Model.v x) (Model.v y));
-  match Model.solve ~method_:`Gomory m with
+  match Model.solve ~arith ~method_:`Gomory m with
   | Model.Optimal s -> checkb "value 3" true (R.equal s.Model.objective (R.of_int 3))
   | _ -> Alcotest.fail "gomory method failed"
 
@@ -667,4 +804,11 @@ let suite =
           prop_warm_matches_cold;
           prop_warm_matches_cold_mixed;
           prop_float_matches_rational;
-        ] )
+          prop_certificates_sound;
+        ]
+    @ [
+        Alcotest.test_case "golden float verdicts are exact" `Quick
+          test_golden_ilp_verdicts_exact;
+        Alcotest.test_case "perturbed Farkas multipliers rejected" `Quick
+          test_farkas_perturbed_rejected;
+      ] )

@@ -8,6 +8,9 @@ module Sim = Mcs_sim.Simulate
 module C = Mcs_connect.Connection
 module F = Mcs_flow.Flow
 
+(* The arithmetic the default flow policy runs ([MCS_ARITH] decides). *)
+let arith = Mcs_flow.Flow.default_policy.Mcs_flow.Flow.arith
+
 let checkb = Alcotest.(check bool)
 
 let ok_or_fail = function
@@ -256,7 +259,7 @@ let fuzz_simple seed =
             (Mcs_util.Listx.range 0 (n_partitions + 1))
         in
         let cons = Constraints.create ~n_partitions ~pins ~fus in
-        let io_hook = Mcs_core.Simple_part.hook cdfg cons ~rate in
+        let io_hook = Mcs_core.Simple_part.hook ~arith cdfg cons ~rate in
         (match Mcs_sched.List_sched.run cdfg mlib cons ~rate ~io_hook () with
         | Error _ -> true (* pin checker may make tight instances fail *)
         | Ok sched -> (
