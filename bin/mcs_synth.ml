@@ -320,21 +320,13 @@ let synth design flow rate pipe_length ports check strict deadline_ms
             Format.eprintf "%s@." m;
             2
         | Ok flow_name ->
-            (* ch3 is defined on dedicated unidirectional ports and ch6 on
-               bidirectional ones; --ports selects the mode for ch4/ch5. *)
-            let mode =
-              match flow_name with
-              | F.Ch3 -> C.Unidir
-              | F.Ch6 -> C.Bidir
-              | F.Ch4 | F.Ch5 -> ports
-            in
             let level =
               if strict then Pass.Strict
               else if check then Pass.Warn
               else Mcs_check.level_of_env ()
             in
             let spec =
-              F.spec_of_design ?pipe_length ~mode ~flow:flow_name d ~rate
+              F.spec_of_design ?pipe_length ?mode:ports ~flow:flow_name d ~rate
             in
             let cdfg = d.Benchmarks.cdfg in
             Mcs_obs.Metrics.reset ();
@@ -930,9 +922,11 @@ let pipe_length =
 
 let ports =
   Arg.(value
-       & opt (enum [ ("unidir", C.Unidir); ("bidir", C.Bidir) ]) C.Unidir
+       & opt (some (enum [ ("unidir", C.Unidir); ("bidir", C.Bidir) ])) None
        & info [ "ports" ] ~docv:"MODE"
-         ~doc:"I/O port mode: unidir or bidir.")
+         ~doc:"I/O port mode for ch4 and ch5: unidir or bidir (default: \
+               unidir for ch4, bidir for ch5).  ch3 always runs on \
+               unidirectional ports and ch6 on bidirectional ones.")
 
 let listing =
   Arg.(value & flag & info [ "list"; "l" ] ~doc:"List the bundled designs.")

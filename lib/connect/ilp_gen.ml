@@ -117,10 +117,11 @@ module Ch4 = struct
     in
     (m, { y; pins_of })
 
-  let solve ?budget ?method_ ~arith cdfg cons ~rate ~mode ~max_buses =
+  let solve ?budget ~arith cdfg cons ~rate ~mode ~max_buses =
     let m, vars = model cdfg cons ~rate ~mode ~max_buses in
-    (* Bus cap left out of the key: the flow sweeps max_buses downward and
-       each cap's basis warm-starts the next (same variable names). *)
+    (* Bus cap left out of the key: a caller sweeping max_buses downward
+       warm-starts each cap from the last one's basis (same variable
+       names). *)
     let warm_key =
       Printf.sprintf "ch4:%s:%dp:%do"
         (match mode with
@@ -129,7 +130,7 @@ module Ch4 = struct
         (Cdfg.n_partitions cdfg)
         (List.length (Cdfg.io_ops cdfg))
     in
-    match M.solve ?budget ?method_ ~arith ~warm_key m with
+    match M.solve ?budget ~arith ~warm_key m with
     (* A budget-limited but integer-feasible solution is still a valid
        bus assignment — only the bus-count objective may be sub-optimal. *)
     | M.Optimal sol | M.Feasible sol ->

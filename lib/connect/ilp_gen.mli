@@ -20,7 +20,6 @@ module Ch4 : sig
 
   val solve :
     ?budget:Mcs_resilience.Budget.t ->
-    ?method_:[ `Branch_bound | `Gomory ] ->
     arith:Mcs_ilp.Fsimplex.arith ->
     Cdfg.t -> Constraints.t -> rate:int -> mode:Connection.mode ->
     max_buses:int ->

@@ -1,4 +1,4 @@
-let code_version = "mcs-engine/3"
+let code_version = "mcs-engine/4"
 
 let hits = Mcs_obs.Metrics.counter "engine.cache.hits"
 let misses = Mcs_obs.Metrics.counter "engine.cache.misses"

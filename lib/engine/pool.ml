@@ -73,14 +73,14 @@ let exec_diag_raw ?(policy = F.default_policy) (job : Job.t) =
   | Ok d -> (
       let flow, mode =
         match job.Job.flow with
-        | Job.Ch3 -> (F.Ch3, C.Unidir)
-        | Job.Ch4_unidir -> (F.Ch4, C.Unidir)
-        | Job.Ch4_bidir -> (F.Ch4, C.Bidir)
-        | Job.Ch5 -> (F.Ch5, C.Bidir)
-        | Job.Ch6 -> (F.Ch6, C.Bidir)
+        | Job.Ch3 -> (F.Ch3, None)
+        | Job.Ch4_unidir -> (F.Ch4, Some C.Unidir)
+        | Job.Ch4_bidir -> (F.Ch4, Some C.Bidir)
+        | Job.Ch5 -> (F.Ch5, None)
+        | Job.Ch6 -> (F.Ch6, None)
       in
       let spec =
-        F.spec_of_design ?pipe_length:job.Job.pipe_length ~mode ~flow d
+        F.spec_of_design ?pipe_length:job.Job.pipe_length ?mode ~flow d
           ~rate:job.Job.rate
       in
       let level = Mcs_check.level_of_env () in

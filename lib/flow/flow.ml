@@ -36,17 +36,20 @@ type spec = {
 }
 
 let spec_of_design ?pipe_length ?mode ~flow (d : Benchmarks.design) ~rate =
+  (* The one map from a flow name to its port mode: Ch. 3 is defined on
+     dedicated unidirectional ports and Ch. 6 on bidirectional ones; Ch. 4
+     and Ch. 5 take [mode], by default as their experiments ran. *)
   let mode =
-    match mode with
-    | Some m -> m
-    | None -> ( match flow with Ch6 -> C.Bidir | Ch3 | Ch4 | Ch5 -> C.Unidir)
+    match (flow, mode) with
+    | Ch3, _ -> C.Unidir
+    | Ch6, _ -> C.Bidir
+    | Ch4, m -> Option.value m ~default:C.Unidir
+    | Ch5, m -> Option.value m ~default:C.Bidir
   in
   let cons =
-    match (flow, mode) with
-    | Ch3, _ -> Benchmarks.constraints_for d ~rate
-    | Ch6, _ -> Benchmarks.constraints_for_bidir d ~rate
-    | _, C.Unidir -> Benchmarks.constraints_for d ~rate
-    | _, C.Bidir -> Benchmarks.constraints_for_bidir d ~rate
+    match mode with
+    | C.Unidir -> Benchmarks.constraints_for d ~rate
+    | C.Bidir -> Benchmarks.constraints_for_bidir d ~rate
   in
   {
     tag = d.Benchmarks.tag;
@@ -61,7 +64,6 @@ let spec_of_design ?pipe_length ?mode ~flow (d : Benchmarks.design) ~rate =
 type policy = {
   budget : Budget.t;
   fallback : bool;
-  exact_first : bool;
   refine : int;
   arith : Mcs_ilp.Fsimplex.arith;
 }
@@ -70,7 +72,6 @@ let default_policy =
   {
     budget = Budget.unlimited;
     fallback = true;
-    exact_first = false;
     refine = 0;
     arith = Mcs_ilp.Fsimplex.arith_of_env ();
   }
@@ -264,8 +265,8 @@ let run_ch3 pass policy (s : spec) =
 
 let run_ch4 pass policy (s : spec) =
   let budget = policy.budget in
-  (* Shared tail: dynamic-reassignment scheduling over a synthesized
-     connection, static baseline, assembly. *)
+  (* After each connection attempt: dynamic-reassignment scheduling over
+     the synthesized connection, static baseline, assembly. *)
   let finish conn initial =
     let dyn = R.create ~budget s.cdfg conn ~rate:s.rate ~initial ~dynamic:true in
     let* schedule =
@@ -304,61 +305,6 @@ let run_ch4 pass policy (s : spec) =
       (assemble ~flow:Ch4 s ~schedule ~connection
          ~fus:(fus_of_constraints s.cdfg s.mlib s.cons)
          ~static_pipe_length)
-  in
-  (* Top rung (opt-in): the exact ILP formulation of §4.1.1. *)
-  let attempt_exact () =
-    Pass.attempt pass;
-    let* conn, assignment =
-      Pass.phase pass "connect-exact"
-        ~artifact:(fun (conn, assignment) ->
-          Artifact.Connection
-            (Artifact.Buses
-               { conn; initial = assignment; assignment; allocation = [] }))
-        (fun () ->
-          let phase = "ch4.connect-exact" in
-          match
-            Mcs_connect.Ilp_gen.Ch4.solve ~budget ~arith:policy.arith s.cdfg
-              s.cons ~rate:s.rate
-              ~mode:s.mode ~max_buses:s.rate
-          with
-          | `Exhausted e ->
-              Error
-                (Diag.error ~code:Diag.Exhausted ~phase "exact ILP: %s"
-                   (Budget.message e))
-          | `Unsat ->
-              Error
-                (Diag.error ~code:Diag.No_connection ~phase
-                   "exact ILP: no bus assignment satisfies the constraints")
-          | `Unknown ->
-              Error
-                (Diag.error ~code:Diag.No_connection ~phase
-                   "exact ILP: solver gave up before deciding")
-          | `Sat (assign, _pins) ->
-              (* Materialize the model's bus indices as a connection. *)
-              let conn =
-                C.create s.mode ~n_partitions:(Cdfg.n_partitions s.cdfg)
-              in
-              let handles = Hashtbl.create 8 in
-              let assignment =
-                List.map
-                  (fun (op, b) ->
-                    let h =
-                      match Hashtbl.find_opt handles b with
-                      | Some h -> h
-                      | None ->
-                          let h = C.new_bus conn in
-                          Hashtbl.add handles b h;
-                          h
-                    in
-                    C.widen_for conn ~bus:h ~src:(Cdfg.io_src s.cdfg op)
-                      ~dst:(Cdfg.io_dst s.cdfg op)
-                      ~width:(Cdfg.io_width s.cdfg op);
-                    (op, h))
-                  assign
-              in
-              Ok (conn, assignment))
-    in
-    finish conn assignment
   in
   let attempt_cap cap =
     Pass.attempt pass;
@@ -419,18 +365,7 @@ let run_ch4 pass policy (s : spec) =
             else Error d
           else try_cap (cap - 1) (Some (Option.value first ~default:d))
   in
-  let heuristic () = try_cap s.rate None in
-  if not policy.exact_first then heuristic ()
-  else
-    match attempt_exact () with
-    | Ok r -> Ok r
-    | Error d when Pass.check_failed pass -> Error d
-    | Error d when is_exhausted d && not policy.fallback -> Error d
-    | Error d ->
-        Pass.degrade pass ~phase:"ch4.connect-exact"
-          (Printf.sprintf "exact ILP rung failed (%s): heuristic search"
-             (Diag.code_to_string d.Diag.code));
-        heuristic ()
+  try_cap s.rate None
 
 (* ---- Chapter 5: scheduling before connection synthesis ---- *)
 

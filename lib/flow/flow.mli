@@ -38,9 +38,6 @@ type policy = {
   fallback : bool;
       (** engage the degradation ladder on budget exhaustion (default
           [true]); with [false], exhaustion is a [Diag.Exhausted] error *)
-  exact_first : bool;
-      (** Ch. 4 only: try the exact ILP formulation of §4.1.1 before the
-          heuristic search (default [false]) *)
   refine : int;
       (** iteration cap for the {!Mcs_refine} anytime-improvement loop
           (default [0] = off; {!run} itself never refines — the cap is
@@ -52,8 +49,7 @@ type policy = {
 }
 
 val default_policy : policy
-(** Unlimited budget, [fallback = true], [exact_first = false],
-    [refine = 0], [arith] from {!Mcs_ilp.Fsimplex.arith_of_env} (read
+(** Unlimited budget, [fallback = true], [refine = 0], [arith] from {!Mcs_ilp.Fsimplex.arith_of_env} (read
     once, at startup) — with no budget and no injected fault nothing ever
     exhausts, so the ladder never engages and results are bit-identical
     to a policy-less run. *)
@@ -66,9 +62,12 @@ val spec_of_design :
   rate:int ->
   spec
 (** Builds the spec the paper's experiments use for [flow] on a bundled
-    benchmark: unidirectional pin budgets for Ch. 3 (and by default Ch. 4
-    and Ch. 5), bidirectional for Ch. 6 (its experiments' assumption), and
-    the design's minimal functional units. *)
+    benchmark: the port mode and its pin budgets, and the design's minimal
+    functional units.  This is the one place a flow name gets its port
+    mode.  Ch. 3 is always unidirectional (dedicated ports) and Ch. 6
+    always bidirectional (its experiments' assumption); [mode] is ignored
+    for them.  Ch. 4 defaults to unidirectional and Ch. 5 to bidirectional
+    (the paper's Ch. 5 tables for the AR filter); [mode] overrides both. *)
 
 type result = {
   flow : name;
@@ -133,8 +132,8 @@ val run :
     [policy] bounds the run and controls the degradation ladder.  When the
     shared budget exhausts (or a {!Mcs_resilience.Fault} injects
     exhaustion), each flow steps down — Ch. 3: pin-checked scheduling to
-    unchecked scheduling with Theorem 3.1 dedicated buses; Ch. 4: exact
-    ILP (when [exact_first]) to heuristic search to dedicated buses;
+    unchecked scheduling with Theorem 3.1 dedicated buses; Ch. 4:
+    heuristic search (slot caps from the rate down) to dedicated buses;
     Ch. 5: force-directed to list scheduling, merged to unmerged cliques;
     Ch. 6: sub-bus sweep to best-completed-cap to dedicated buses — with
     every step on [result.degraded].  The invariant: the caller always

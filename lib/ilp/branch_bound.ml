@@ -371,62 +371,70 @@ and solve ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
    candidate incumbents are certified (and re-derived) over rationals,
    infeasibility prunes carry a Farkas certificate, and whatever fails
    certification — or stalls — falls back to the exact search.  Bound
-   pruning needs no certificate: every objective in this library has
-   integer coefficients, so a child is useful only when its LP bound
-   clears incumbent + 1, and the half-unit slack in [beats] absorbs any
-   realistic roundoff.  An unboundedness claim has no certificate in this
-   scheme, and a stalled root has no basis worth saving: both hand the
-   whole problem to the exact search. *)
+   pruning needs no certificate when the objective is integral at integer
+   points (integer coefficients, on integer variables only): a child is
+   then useful only when its LP bound clears incumbent + 1, and the
+   half-unit slack in [beats] absorbs any realistic roundoff.  Any other
+   objective, an unboundedness claim (no certificate in this scheme) and
+   a stalled root (no basis worth saving) hand the whole problem to the
+   exact search. *)
 let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
     ?(warm = []) ~integer (p : Simplex.problem) =
   check_mask "Branch_bound.solve_float" ~integer p;
+  let integral_objective =
+    Array.for_all2
+      (fun c int -> R.is_zero c || (int && R.is_integer c))
+      p.objective integer
+  in
   let made = ref None in
   (* [dispose] recycles the tableau buffer even on an abandoned-queue
      exit; unreleased snapshots just fall to the GC. *)
   Fun.protect ~finally:(fun () -> Option.iter Fsimplex.dispose !made)
   @@ fun () ->
   search ~budget ~max_nodes ~integer p @@ fun () ->
-  let ft = Fsimplex.create ~budget p in
-  made := Some ft;
-  match Fsimplex.solve_lp ~warm ft with
-  | `Infeasible r when Fsimplex.certify_infeasible ft r -> `Infeasible
-  | `Infeasible _ | `Unbounded | `Stuck -> `Fallback
-  | `Optimal ->
-      `Solved
-        {
-          compare = Float.compare;
-          beats = (fun fb v -> fb > R.to_float v +. 0.5);
-          examine =
-            (fun worth ->
-              let fb = Fsimplex.value_float ft in
-              if not (worth fb) then `Prune
-              else
-                match float_most_fractional ~integer (Fsimplex.x_float ft) with
-                | Some (i, fl) -> `Branch (fb, i, fl)
-                | None -> (
-                    match Fsimplex.certify_optimal ft with
-                    | None -> `Fallback
-                    | Some sol -> (
-                        match most_fractional ~integer sol with
-                        (* Float-integral but exactly fractional: branch on
-                           the exact value rather than trusting the float. *)
-                        | Some i -> `Branch (fb, i, R.floor sol.x.(i))
-                        | None -> `Integral sol)));
-          (* one use per child; the second [release] recycles the buffer *)
-          snapshot = (fun () -> Fsimplex.snapshot ~uses:2 ft);
-          release = Fsimplex.release ft;
-          restore = Fsimplex.restore ft;
-          add_row = Fsimplex.add_row ft;
-          reoptimize =
-            (fun () ->
-              match Fsimplex.reoptimize_dual ft with
-              | `Ok -> `Ok
-              | `Infeasible r when Fsimplex.certify_infeasible ft r ->
-                  `Infeasible
-              | `Infeasible _ | `Stuck -> `Fallback);
-          basis = Fsimplex.basic_structurals ft;
-          pivots = m_fpivots;
-        }
+  if not integral_objective then `Fallback
+  else
+    let ft = Fsimplex.create ~budget p in
+    made := Some ft;
+    match Fsimplex.solve_lp ~warm ft with
+    | `Infeasible r when Fsimplex.certify_infeasible ft r -> `Infeasible
+    | `Infeasible _ | `Unbounded | `Stuck -> `Fallback
+    | `Optimal ->
+        `Solved
+          {
+            compare = Float.compare;
+            beats = (fun fb v -> fb > R.to_float v +. 0.5);
+            examine =
+              (fun worth ->
+                let fb = Fsimplex.value_float ft in
+                if not (worth fb) then `Prune
+                else
+                  match float_most_fractional ~integer (Fsimplex.x_float ft) with
+                  | Some (i, fl) -> `Branch (fb, i, fl)
+                  | None -> (
+                      match Fsimplex.certify_optimal ft with
+                      | None -> `Fallback
+                      | Some sol -> (
+                          match most_fractional ~integer sol with
+                          (* Float-integral but exactly fractional: branch on
+                             the exact value rather than trusting the float. *)
+                          | Some i -> `Branch (fb, i, R.floor sol.x.(i))
+                          | None -> `Integral sol)));
+            (* one use per child; the second [release] recycles the buffer *)
+            snapshot = (fun () -> Fsimplex.snapshot ~uses:2 ft);
+            release = Fsimplex.release ft;
+            restore = Fsimplex.restore ft;
+            add_row = Fsimplex.add_row ft;
+            reoptimize =
+              (fun () ->
+                match Fsimplex.reoptimize_dual ft with
+                | `Ok -> `Ok
+                | `Infeasible r when Fsimplex.certify_infeasible ft r ->
+                    `Infeasible
+                | `Infeasible _ | `Stuck -> `Fallback);
+            basis = Fsimplex.basic_structurals ft;
+            pivots = m_fpivots;
+          }
 
 (* Cold-start reference: re-solves the accumulated problem from scratch at
    every node (depth-first, first-fractional, floor branch first) — the

@@ -63,8 +63,11 @@ val solve_float :
     certificate, and a node whose certificate fails has {e its subtree
     only} re-solved by the exact {!solve} (counted in
     [bb.arith_fallbacks]); so is the whole problem when the root LP is
-    unbounded, stalls, or its infeasibility is not certified.  Float
-    pivots charge [budget] too, so deadlines hold in both arithmetics.
+    unbounded, stalls, or its infeasibility is not certified, and when
+    the objective is not integral at integer points (a nonzero
+    coefficient on a continuous variable, or a fractional one), which
+    the float bound test assumes.  Float pivots charge [budget] too, so
+    deadlines hold in both arithmetics.
     Every solution that escapes is exact, so results agree with {!solve}
     wherever both prove optimality.
 

@@ -90,13 +90,34 @@ let splice spec (r : F.result) sch' conn' =
     diags = keep_history r;
   }
 
+(* The trial set of the §5.3/§6.3 postponement trick, mechanized: trial
+   [t] jitters the static priorities by a hash of [(t, op)] (no jitter at
+   [t = 0]), enough to reorder ties and near-ties without drowning the
+   critical path; even trials also hold the lower-priority half of the
+   I/O operations back by [(t / 2) mod (rate + 1)] control steps, freeing
+   early slots for the critical chains. *)
+let trials = 12
+
+let bias_for ~trial ~n =
+  Array.init n (fun op ->
+      if trial = 0 then 0
+      else (Hashtbl.hash (trial, op) mod (2 * trial)) - trial)
+
+(* The lower-priority half of the I/O operations: the ones even trials
+   postpone. *)
+let postponable cdfg mlib =
+  let prio = LS.priorities cdfg mlib in
+  let cutoff =
+    List.nth (List.sort compare (Array.to_list prio)) (Cdfg.n_ops cdfg / 2)
+  in
+  Array.mapi (fun op p -> Cdfg.is_io cdfg op && p <= cutoff) prio
+
 (* Freeze every operation finishing before the tail window as an exact
    replay ([LS.run ~fixed]), floor the window's operations at the cut (so
    a free placement can never steal a frozen operation's wheel or bus
    slot before it is replayed), and re-schedule the tail with the flow's
-   own communication hook.  Several deterministic priority perturbations
-   per attempt — the §5.3 postponement trick — and the best objective
-   wins. *)
+   own communication hook under each trial of the postponement trick;
+   the best objective wins. *)
 let resched_tail ~slice ~arith ~window spec (r : F.result) =
   let cdfg = spec.F.cdfg and mlib = spec.F.mlib and cons = spec.F.cons in
   let rate = spec.F.rate in
@@ -112,14 +133,22 @@ let resched_tail ~slice ~arith ~window spec (r : F.result) =
       (Cdfg.ops cdfg)
   in
   let n = Cdfg.n_ops cdfg in
-  let floor = Array.make n cut in
-  let try_once bias =
+  let postponable = postponable cdfg mlib in
+  let try_once trial =
+    let priority_bias = bias_for ~trial ~n in
+    let min_cstep =
+      Array.map
+        (fun p ->
+          if p && trial mod 2 = 0 then max cut ((trial / 2) mod (rate + 1))
+          else cut)
+        postponable
+    in
     match r.F.connection with
     | Artifact.Bundles _ -> (
         let io_hook = SP.hook ~budget:slice ~arith cdfg cons ~rate in
         match
-          LS.run ~budget:slice cdfg mlib cons ~rate ~io_hook ?priority_bias:bias
-            ~min_cstep:floor ~fixed ()
+          LS.run ~budget:slice cdfg mlib cons ~rate ~io_hook ~priority_bias
+            ~min_cstep ~fixed ()
         with
         | Error f -> Error f
         | Ok sch' -> (
@@ -128,27 +157,32 @@ let resched_tail ~slice ~arith ~window spec (r : F.result) =
             | Error _ -> Error { LS.kind = LS.Horizon 0; reason = "Theorem 3.1 replay failed"; at_cstep = 0; partial = sch' }
             | Ok () -> Ok (sch', Artifact.Bundles links)))
     | Artifact.Buses { conn; initial; assignment; _ } -> (
-        (* Replay against the incumbent's final assignment, statically:
-           the frozen prefix then commits exactly as it originally did
-           (the dynamic planner's conservative repack gate cannot refuse
-           a known-feasible allocation), and tail operations keep their
-           buses while the scheduler explores timing.  Remapping values
-           across buses is the re-climb move's job. *)
-        let pinned =
-          List.map
-            (fun (op, h) ->
-              match List.assoc_opt op assignment with
-              | Some h' -> (op, h')
-              | None -> (op, h))
-            initial
-        in
+        (* With nothing frozen, re-run the flow's own dynamic reassignment
+           from the connection's initial assignment.  With a frozen
+           prefix, replay against the incumbent's final assignment,
+           statically: the prefix then commits exactly as it originally
+           did (the dynamic planner's conservative repack gate cannot
+           refuse a known-feasible allocation), and tail operations keep
+           their buses while the scheduler explores timing.  Remapping
+           values across buses is the re-climb move's job. *)
         let dyn =
-          R.create ~budget:slice cdfg conn ~rate ~initial:pinned
-            ~dynamic:false
+          if fixed = [] then
+            R.create ~budget:slice cdfg conn ~rate ~initial ~dynamic:true
+          else
+            let pinned =
+              List.map
+                (fun (op, h) ->
+                  match List.assoc_opt op assignment with
+                  | Some h' -> (op, h')
+                  | None -> (op, h))
+                initial
+            in
+            R.create ~budget:slice cdfg conn ~rate ~initial:pinned
+              ~dynamic:false
         in
         match
           LS.run ~budget:slice cdfg mlib cons ~rate ~io_hook:(R.hook dyn)
-            ?priority_bias:bias ~min_cstep:floor ~fixed ()
+            ~priority_bias ~min_cstep ~fixed ()
         with
         | Error f -> Error f
         | Ok sch' ->
@@ -170,17 +204,10 @@ let resched_tail ~slice ~arith ~window spec (r : F.result) =
             partial = sch;
           }
   in
-  let biases =
-    [
-      None;
-      Some (Array.init n (fun i -> ((i * 7919) mod 7) - 3));
-      Some (Array.init n (fun i -> ((i * 104729) mod 11) - 5));
-    ]
-  in
   let candidates, failures =
     List.fold_left
-      (fun (oks, errs) bias ->
-        match try_once bias with
+      (fun (oks, errs) trial ->
+        match try_once trial with
         | exception Invalid_argument m ->
             (oks, { why = m; transient = false } :: errs)
         | exception Budget.Out_of_budget e ->
@@ -191,7 +218,7 @@ let resched_tail ~slice ~arith ~window spec (r : F.result) =
               match f.LS.kind with LS.Exhausted _ -> true | _ -> false
             in
             (oks, { why = f.LS.reason; transient } :: errs))
-      ([], []) biases
+      ([], []) (Mcs_util.Listx.range 0 trials)
   in
   match Mcs_util.Listx.min_by objective candidates with
   | Some best -> Ok best

@@ -21,10 +21,19 @@
     - {e resched-tail} (critical-tail / pin-pressure / FU-slack evidence,
       Ch. 3 and Ch. 4 results): freeze every operation before the tail
       window as an exact {!Mcs_sched.List_sched} replay ([~fixed]),
-      re-schedule the window with the flow's own communication hook under
-      deterministic priority perturbations, rebuild the connection
-      (Theorem 3.1 bundles, or bus reassignment over the fixed
-      connection), and keep the best. *)
+      re-schedule the window with the flow's own communication hook,
+      rebuild the connection (Theorem 3.1 bundles, or bus reassignment
+      over the fixed connection), and keep the best.  This mechanizes the
+      paper's manual postponement and rerun (§5.3, §6.3): 12 trials, each
+      a hashed priority perturbation (none on the first) and, on even
+      trials, a postponement floor on the lower-priority half of the I/O
+      operations, never below the window's cut.  The window starts at a
+      quarter of the pipe and doubles after each attempt that does not
+      improve (an accepted one resets it); at the whole pipe nothing is
+      frozen, and a Ch. 4 result is rescheduled
+      with the flow's own dynamic bus reassignment from its initial
+      assignment (a frozen prefix replays the final assignment
+      statically instead). *)
 
 type iteration = {
   index : int;  (** 1-based *)

@@ -61,7 +61,8 @@ val run :
 (** [priority_bias] perturbs the static priorities (added per operation);
     [min_cstep] forbids scheduling an operation before the given control
     step — the paper's manual trick of "postponing some of the operations
-    ... and rerunning" (§5.3), mechanized by [Mcs_core.Improve].
+    ... and rerunning" (§5.3), mechanized by [Mcs_refine]'s
+    resched-tail move.
     [fixed] replays the given [(op, cstep)] placements verbatim — charging
     allocation wheels and the [io_hook]'s commit exactly as if the
     scheduler had chosen them — while the remaining operations are

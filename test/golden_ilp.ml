@@ -13,8 +13,8 @@
    The cases are 600 seeded random (M)ILPs with 2-6 variables, [Le]/[Ge]/
    [Eq] rows, mixed integer masks, a 3-node limit on every 7th problem, a
    pivot budget on every 11th and no variable box on every 13th (so some
-   relaxations are unbounded); an ill-conditioned LP whose float optimum
-   fails certification; an unbounded ILP; and the pin ILPs of the paper
+   relaxations are unbounded); an ill-conditioned LP that float64 cannot
+   tell from a feasible one; an unbounded ILP; and the pin ILPs of the paper
    benchmarks (ar-general r2-5, elliptic r4-6, ar-simple r2-4) through
    both searches and through the warm-chained [Pin_ilp.feasible] in both
    arithmetic modes.
@@ -181,8 +181,9 @@ let random_case i =
       };
   }
 
-(* x <= 1 and x >= 1 + 2^-60: infeasible, but float64 cannot see the gap,
-   so the float search's optimum fails certification and falls back. *)
+(* x <= 1 and x >= 1 + 2^-60: infeasible, but float64 cannot see the gap.
+   Its objective sits on the continuous x, so the float search hands the
+   whole problem to the exact search at the root. *)
 let ill_conditioned =
   let tiny = R.make 1 1152921504606846976 in
   {

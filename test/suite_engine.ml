@@ -277,7 +277,14 @@ let test_cache_miss_after_version_bump () =
   let misses = counter "engine.cache.misses" in
   checkb "v2 misses" true (Cache.lookup c2 j = None);
   checki "counted as a miss, not stale" (misses + 1)
-    (counter "engine.cache.misses")
+    (counter "engine.cache.misses");
+  (* The same holds for the code's own version: an entry written before
+     the last bump (mcs-engine/3) misses under the default handle. *)
+  let old = Cache.open_dir ~version:"mcs-engine/3" dir in
+  Cache.store old j (outcome j);
+  checkb "old code version hits itself" true (Cache.lookup old j <> None);
+  checkb "current code version misses it" true
+    (Cache.lookup (Cache.open_dir dir) j = None)
 
 let test_cache_corrupt_entry_is_miss () =
   let c = Cache.open_dir ~version:"test-v1" (tmp_dir ()) in

@@ -235,14 +235,21 @@ let test_default_policy_unaffected_by_ladder () =
   (* No budget, no fault: results must be bit-identical with and without
      an explicit policy (the engine cache and CI determinism depend on
      it). *)
-  let d = Benchmarks.ar_general () in
-  let go policy =
-    match run_strict ~policy F.Ch4 d ~rate:3 () with
+  let spec = F.spec_of_design ~flow:F.Ch4 (Benchmarks.ar_general ()) ~rate:3 in
+  let go ?policy () =
+    match Mcs_check.run ~level:Pass.Strict ?policy F.Ch4 spec with
     | Ok r -> (r.F.pins, r.F.pipe_length, r.F.degraded)
     | Error d -> Alcotest.fail (diag_str d)
   in
-  checkb "policy-less run identical" true
-    (go F.default_policy = go { F.default_policy with F.exact_first = false })
+  let explicit =
+    {
+      F.budget = B.unlimited;
+      fallback = true;
+      refine = 0;
+      arith = F.default_policy.F.arith;
+    }
+  in
+  checkb "policy-less run identical" true (go () = go ~policy:explicit ())
 
 (* --- The invariant, fuzzed ---
 

@@ -455,8 +455,15 @@ let test_busy_domain_batches () =
     | Error m -> Alcotest.fail m
   in
   let batches0 = counter "server.batches" in
-  (* A search of ~0.2 s keeps the domain busy while the burst lands. *)
-  Client.send a (P.submit ~id:"busy" (job ()));
+  (* A 200-operation generated design through Ch. 5 takes ~0.4 s on a
+     2-vCPU VM (the paper points now finish in milliseconds), so the
+     domain is still busy when the burst lands. *)
+  let busy =
+    job
+      ~design:(Job.Random { seed = 3; n_partitions = 4; n_ops = 200 })
+      ~flow:Job.Ch5 ~rate:4 ()
+  in
+  Client.send a (P.submit ~id:"busy" busy);
   let rec until_running n =
     if stat "inflight" = 1 then ()
     else if n = 0 then Alcotest.fail "busy job never dispatched"
