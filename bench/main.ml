@@ -1647,7 +1647,11 @@ let baseline_records ~reps () =
   flow_case ~counters:[ "heuristic.nodes" ] "ch4" "ar-general" 3 (fun () ->
       Result.map totals
         (run_flow F.Ch4 (Benchmarks.ar_general ()) ~rate:3 ~mode:C.Unidir));
-  flow_case "ch5" "ar-general" 4 (fun () ->
+  (* The scheduler must make the same placements; it may compute fewer
+     forces (memoized while their windows and graphs stay put), never
+     more. *)
+  flow_case ~counters:[ "fds.force_evals"; "fds.placements" ] "ch5"
+    "ar-general" 4 (fun () ->
       Result.map totals
         (run_flow F.Ch5
            (Benchmarks.ar_general ())

@@ -1,15 +1,12 @@
-(* A counter is a slot in per-domain shards (below), not a cell of its
-   own: every domain bumps only its own shard, so concurrent updates are
-   never lost and a domain can read back exactly its own share. *)
+(* Every instrument is a slot in per-domain shards (below), not a cell
+   of its own: every domain updates only its own shard, so concurrent
+   updates are never lost and a domain can read back exactly its own
+   share.  A read merges the shards: counters and histograms add up, a
+   gauge takes the largest value any domain wrote — exact for a peak
+   ([set_max]), and for a level ([set]) that one domain owns. *)
 type counter = { id : int }
-type gauge = { mutable g_value : float }
-
-type histogram = {
-  h_bounds : int array;
-  h_counts : int array; (* one slot per bound plus the overflow bucket *)
-  mutable h_sum : int;
-  mutable h_total : int;
-}
+type gauge = { g_id : int }
+type histogram = { h_id : int; h_bounds : int array }
 
 type value =
   | Counter of int
@@ -28,46 +25,71 @@ let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 (* The registry itself is shared across domains (worker domains register
    and read instruments concurrently), so structural operations —
    registration, snapshot, reset, the shard list — take this lock.  The
-   hot-path updates ([incr]/[set]/[observe]) stay lock-free.  Counters
-   are exact because each domain writes only its own shard; gauges and
-   histograms are single shared cells, where a lost update under
-   contention only skews a statistic. *)
+   hot-path updates ([incr]/[set]/[observe]) stay lock-free. *)
 let registry_lock = Mutex.create ()
 
 let locked f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
-(* ---- per-domain counter shards ---- *)
+(* ---- per-domain shards ---- *)
 
-type shard = { mutable counts : int array }  (* indexed by counter id *)
+type shard = {
+  mutable counts : int array;  (* indexed by counter id *)
+  mutable gauges : float array;
+      (* indexed by gauge id; [nan] = never written on this domain *)
+  mutable hists : int array array;
+      (* indexed by histogram id: the bucket counts, then the sum and the
+         total; [[||]] = nothing observed on this domain *)
+}
 
 let n_counters = ref 0
+let n_gauges = ref 0
+let n_hists = ref 0
+let new_shard () = { counts = [||]; gauges = [||]; hists = [||] }
 
-(* Shards of running domains, and the sum of every exited domain's shard:
-   a read merges both, so a domain's counts outlive it.  Both are only
-   touched under [registry_lock], and a shard moves from one to the other
-   in a single locked step, so a read never counts it twice or not at
-   all. *)
+(* Shards of running domains, and the merge of every exited domain's
+   shard: a read merges both, so a domain's values outlive it.  Both are
+   only touched under [registry_lock], and a shard moves from one to the
+   other in a single locked step, so a read never counts it twice or not
+   at all. *)
 let live_shards : shard list ref = ref []
-let retired = { counts = [||] }
+let retired = new_shard ()
 
-let add_into dst src =
-  let n = Array.length src.counts in
-  if Array.length dst.counts < n then begin
-    let a = Array.make n 0 in
-    Array.blit dst.counts 0 a 0 (Array.length dst.counts);
-    dst.counts <- a
-  end;
-  Array.iteri (fun i v -> dst.counts.(i) <- dst.counts.(i) + v) src.counts
+let merge_gauge a b = if Float.is_nan a || b > a then b else a
+
+let merge_into dst src =
+  let widen a n fill =
+    if Array.length a >= n then a
+    else begin
+      let a' = Array.make n fill in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    end
+  in
+  dst.counts <- widen dst.counts (Array.length src.counts) 0;
+  Array.iteri (fun i v -> dst.counts.(i) <- dst.counts.(i) + v) src.counts;
+  dst.gauges <- widen dst.gauges (Array.length src.gauges) Float.nan;
+  Array.iteri
+    (fun i v -> dst.gauges.(i) <- merge_gauge dst.gauges.(i) v)
+    src.gauges;
+  dst.hists <- widen dst.hists (Array.length src.hists) [||];
+  Array.iteri
+    (fun i cells ->
+      if Array.length dst.hists.(i) = 0 then dst.hists.(i) <- Array.copy cells
+      else
+        Array.iteri
+          (fun j v -> dst.hists.(i).(j) <- dst.hists.(i).(j) + v)
+          cells)
+    src.hists
 
 let shard_key =
   Domain.DLS.new_key (fun () ->
-      let s = { counts = [||] } in
+      let s = new_shard () in
       locked (fun () -> live_shards := s :: !live_shards);
       Domain.at_exit (fun () ->
           locked (fun () ->
-              add_into retired s;
+              merge_into retired s;
               live_shards := List.filter (fun s' -> s' != s) !live_shards));
       s)
 
@@ -92,7 +114,10 @@ let counter name =
 
 let gauge name =
   register name
-    (fun () -> G { g_value = 0.0 })
+    (fun () ->
+      let g_id = !n_gauges in
+      incr n_gauges;
+      G { g_id })
     (function
       | G g -> g
       | C _ | H _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge"))
@@ -107,13 +132,9 @@ let histogram name ~buckets =
     buckets;
   register name
     (fun () ->
-      {
-        h_bounds = Array.copy buckets;
-        h_counts = Array.make (Array.length buckets + 1) 0;
-        h_sum = 0;
-        h_total = 0;
-      }
-      |> fun h -> H h)
+      let h_id = !n_hists in
+      incr n_hists;
+      H { h_id; h_bounds = Array.copy buckets })
     (function
       | H h ->
           if h.h_bounds <> buckets then
@@ -124,20 +145,19 @@ let histogram name ~buckets =
       | C _ | G _ ->
           invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram"))
 
-(* Only the owning domain ever writes its shard, so growing it (a counter
-   registered after the shard was made) is a plain copy; a concurrent
-   reader may still see the old array, i.e. a slightly stale count. *)
-let grow s id n =
-  let a = Array.make (max (id + 1) !n_counters) 0 in
-  Array.blit s.counts 0 a 0 (Array.length s.counts);
-  a.(id) <- n;
-  s.counts <- a
+(* Only the owning domain ever writes its shard, so growing it (an
+   instrument registered after the shard was made) is a plain copy; a
+   concurrent reader may still see the old array, i.e. a slightly stale
+   value. *)
+let grow a id fill =
+  let a' = Array.make (max (id + 1) (Array.length a * 2)) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 let incr ?(n = 1) c =
   let s = Domain.DLS.get shard_key in
-  let a = s.counts in
-  if c.id < Array.length a then a.(c.id) <- a.(c.id) + n
-  else grow s c.id n
+  if c.id >= Array.length s.counts then s.counts <- grow s.counts c.id 0;
+  s.counts.(c.id) <- s.counts.(c.id) + n
 
 let shard_count s id = if id < Array.length s.counts then s.counts.(id) else 0
 
@@ -148,15 +168,60 @@ let merged_count id =
 
 let count c = locked (fun () -> merged_count c.id)
 let count_local c = shard_count (Domain.DLS.get shard_key) c.id
-let set g v = g.g_value <- v
-let set_max g v = if v > g.g_value then g.g_value <- v
+
+let gauge_cells g =
+  let s = Domain.DLS.get shard_key in
+  if g.g_id >= Array.length s.gauges then
+    s.gauges <- grow s.gauges g.g_id Float.nan;
+  s.gauges
+
+let set g v = (gauge_cells g).(g.g_id) <- v
+
+(* A gauge no domain wrote reads 0, so that is also the floor a first
+   [set_max] on a domain raises from. *)
+let set_max g v =
+  let a = gauge_cells g in
+  let cur = a.(g.g_id) in
+  if v > (if Float.is_nan cur then 0.0 else cur) then a.(g.g_id) <- v
 
 let observe h v =
+  let s = Domain.DLS.get shard_key in
+  if h.h_id >= Array.length s.hists then s.hists <- grow s.hists h.h_id [||];
   let nb = Array.length h.h_bounds in
+  if Array.length s.hists.(h.h_id) = 0 then
+    s.hists.(h.h_id) <- Array.make (nb + 3) 0;
+  let cells = s.hists.(h.h_id) in
   let rec slot i = if i >= nb || v <= h.h_bounds.(i) then i else slot (i + 1) in
-  h.h_counts.(slot 0) <- h.h_counts.(slot 0) + 1;
-  h.h_sum <- h.h_sum + v;
-  h.h_total <- h.h_total + 1
+  let i = slot 0 in
+  cells.(i) <- cells.(i) + 1;
+  cells.(nb + 1) <- cells.(nb + 1) + v;
+  cells.(nb + 2) <- cells.(nb + 2) + 1
+
+let merged_gauge id =
+  let read s =
+    if id < Array.length s.gauges then s.gauges.(id) else Float.nan
+  in
+  let v =
+    List.fold_left (fun acc s -> merge_gauge acc (read s)) (read retired)
+      !live_shards
+  in
+  if Float.is_nan v then 0.0 else v
+
+let merged_histogram h =
+  let nb = Array.length h.h_bounds in
+  let cells = Array.make (nb + 3) 0 in
+  List.iter
+    (fun s ->
+      if h.h_id < Array.length s.hists then
+        Array.iteri (fun j v -> cells.(j) <- cells.(j) + v) s.hists.(h.h_id))
+    (retired :: !live_shards);
+  Histogram
+    {
+      bounds = Array.copy h.h_bounds;
+      counts = Array.sub cells 0 (nb + 1);
+      sum = cells.(nb + 1);
+      total = cells.(nb + 2);
+    }
 
 let snapshot () =
   locked (fun () -> Hashtbl.fold
@@ -164,15 +229,8 @@ let snapshot () =
       let v =
         match i with
         | C c -> Counter (merged_count c.id)
-        | G g -> Gauge g.g_value
-        | H h ->
-            Histogram
-              {
-                bounds = Array.copy h.h_bounds;
-                counts = Array.copy h.h_counts;
-                sum = h.h_sum;
-                total = h.h_total;
-              }
+        | G g -> Gauge (merged_gauge g.g_id)
+        | H h -> merged_histogram h
       in
       (name, v) :: acc)
     registry [])
@@ -180,18 +238,11 @@ let snapshot () =
 
 let reset () =
   locked (fun () ->
-      Hashtbl.iter
-        (fun _ i ->
-          match i with
-          | C _ -> ()
-          | G g -> g.g_value <- 0.0
-          | H h ->
-              Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-              h.h_sum <- 0;
-              h.h_total <- 0)
-        registry;
       List.iter
-        (fun s -> Array.fill s.counts 0 (Array.length s.counts) 0)
+        (fun s ->
+          Array.fill s.counts 0 (Array.length s.counts) 0;
+          Array.fill s.gauges 0 (Array.length s.gauges) Float.nan;
+          Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) s.hists)
         (retired :: !live_shards))
 
 (* Prometheus-style estimate: locate the bucket containing the q-th

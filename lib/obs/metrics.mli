@@ -8,10 +8,13 @@
     "enabled" flag.  Reading the registry ([snapshot], [pp_summary]) is
     the only place any work happens.
 
-    Counters are sharded per domain ([Domain.DLS]): each domain updates
-    only its own shard, lock-free, and a read merges every shard
-    (including those of domains that have exited), so counts stay exact
-    with any number of domains.  {!count_local} reads the calling
+    Every instrument is sharded per domain ([Domain.DLS]): each domain
+    updates only its own shard, lock-free, and a read merges every shard
+    (including those of domains that have exited), so no update is lost
+    with any number of domains.  Counters and histograms merge by sum; a
+    gauge reads the largest value any domain wrote, which is exact for a
+    peak ({!set_max}) and for a level ({!set}) written by one domain, as
+    the server's queue gauges are.  {!count_local} reads the calling
     domain's shard alone — the exact share of work done on this domain,
     which is how a job running on a worker domain measures its own
     solver effort while other domains run other jobs. *)
@@ -77,10 +80,10 @@ val snapshot : unit -> (string * value) list
 (** All registered instruments, sorted by name. *)
 
 val reset : unit -> unit
-(** Zero every registered instrument (registrations persist).  Run
-    reports call this before a flow so counts are per-run.  Meant for
-    quiescent points: an increment racing a reset on another domain may
-    survive it. *)
+(** Zero every registered instrument on every domain (registrations
+    persist).  Run reports call this before a flow so counts are per-run.
+    Meant for quiescent points: an update racing a reset on another
+    domain may survive it. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Table of every instrument with a nonzero value. *)

@@ -35,7 +35,13 @@ val run :
   (Schedule.t, error) result
 (** Fails when the pipe length cannot accommodate the critical path or the
     recursive-edge maximum time constraints.  [budget] charges one pass
-    per placement round and one per candidate force evaluation. *)
+    per placement round and one per [(operation, step)] candidate scored
+    in that round, whether the candidate's forces are computed afresh or
+    reused from an earlier round (a window force is kept until the
+    operation's window or its distribution graphs move).  So the budget
+    runs out at the same placement as a scheduler that rescored every
+    candidate every round; [fds.force_evals] counts only the forces
+    actually computed. *)
 
 val fu_requirements : Schedule.t -> ((int * string) * int) list
 (** Functional units needed to execute the schedule, per (partition,
@@ -50,5 +56,9 @@ val frames :
   fixed:int option array ->
   (int array * int array) option
 (** Chaining-aware (ASAP, ALAP) start-step windows under the given fixed
-    assignments and the recursive-edge constraints; [None] if inconsistent.
-    Exposed for the conditional-sharing heuristic of §7.2 and for tests. *)
+    assignments and the recursive-edge constraints; [None] if inconsistent
+    (or if the design has no operation).  The windows are the least
+    fixpoint of the forward and backward clamped earliest-start passes and
+    the max-time constraints; {!run} settles the same fixpoint
+    incrementally after each placement.  Exposed for the
+    conditional-sharing heuristic of §7.2 and for tests. *)

@@ -36,52 +36,58 @@ type failure = {
    [failure] instead of the [Invalid_argument] it used to escape as. *)
 exception No_fu of int * string
 
-let priorities cdfg mlib =
+let longest_paths cdfg ~cycles =
   let n = Cdfg.n_ops cdfg in
   let g = Mcs_graph.Digraph.create n in
   List.iter
     (fun { Types.e_src; e_dst; degree } ->
       if degree = 0 then Mcs_graph.Digraph.add_edge g ~src:e_src ~dst:e_dst)
     (Cdfg.edges cdfg);
-  Mcs_graph.Digraph.longest_path_from g ~weight:(Timing.op_cycles cdfg mlib)
+  Mcs_graph.Digraph.longest_path_from g ~weight:(Array.get cycles)
+
+let priorities cdfg mlib =
+  longest_paths cdfg
+    ~cycles:(Array.init (Cdfg.n_ops cdfg) (Timing.op_cycles cdfg mlib))
 
 let big = max_int / 4
 
 (* Deadlines induced by recursive max-time constraints against already
-   scheduled consumers, propagated backwards through degree-0 edges. *)
-let deadlines sched cdfg mlib ~rate =
-  let n = Cdfg.n_ops cdfg in
-  let dl = Array.make n big in
+   scheduled consumers, propagated backwards through degree-0 edges.
+   [constraints] are the run's [Timing.max_time_constraints]. *)
+let deadlines sched (facts : Op_facts.t) ~constraints =
+  let dl = Array.make (Array.length facts.cycles) big in
   List.iter
     (fun (src, dst, bound) ->
       if Schedule.is_scheduled sched dst then
         dl.(src) <- min dl.(src) (Schedule.cstep sched dst + bound))
-    (Timing.max_time_constraints cdfg mlib ~rate);
+    constraints;
   List.iter
     (fun u ->
       List.iter
         (fun v ->
           (* u must have finished before v starts (chaining would only give
              one step of slack back; stay conservative). *)
-          dl.(u) <- min dl.(u) (dl.(v) - Timing.op_cycles cdfg mlib u))
-        (Cdfg.succs cdfg u))
-    (List.rev (Cdfg.topo_order cdfg));
+          dl.(u) <- min dl.(u) (dl.(v) - facts.cycles.(u)))
+        facts.succs.(u))
+    facts.rev_topo;
   dl
 
 let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
     ?(io_hook = unconstrained_io) ?priority_bias ?min_cstep ?(fixed = []) () =
   M.incr m_runs;
   let sched = Schedule.create cdfg mlib ~rate in
+  let facts = Schedule.facts sched in
+  let constraints = Timing.max_time_constraints cdfg mlib ~rate in
   (* Fixed placements are replayed step by step as the main loop reaches
      their control step, so they charge the allocation wheels and the
      [io_hook] exactly like free operations — the free candidates then
      compete only for what is genuinely left. *)
   let fixed_at = Hashtbl.create 16 in
-  let is_fixed = Hashtbl.create 16 in
+  let is_fixed = Array.make (Cdfg.n_ops cdfg) false in
   List.iter
     (fun (op, c) ->
       if c < 0 then invalid_arg "List_sched.run: fixed op at negative cstep";
-      Hashtbl.replace is_fixed op ();
+      is_fixed.(op) <- true;
       Hashtbl.replace fixed_at c
         (op :: Option.value (Hashtbl.find_opt fixed_at c) ~default:[]))
     fixed;
@@ -103,7 +109,7 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
         Hashtbl.add wheels (partition, optype) w;
         w
   in
-  let prio = priorities cdfg mlib in
+  let prio = longest_paths cdfg ~cycles:facts.cycles in
   (match priority_bias with
   | Some bias ->
       Array.iteri (fun i b -> prio.(i) <- prio.(i) + b) bias
@@ -118,6 +124,23 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
     if !failure = None then
       failure := Some { kind; reason; at_cstep; partial = sched }
   in
+  (* The deadlines move only when a constrained consumer is scheduled, and
+     operations are never unscheduled: recompute them when the count of
+     scheduled consumers grows. *)
+  let dl = ref [||] and consumers_seen = ref (-1) in
+  let current_deadlines () =
+    let scheduled =
+      List.fold_left
+        (fun k (_, dst, _) ->
+          if Schedule.is_scheduled sched dst then k + 1 else k)
+        0 constraints
+    in
+    if scheduled <> !consumers_seen then begin
+      dl := deadlines sched facts ~constraints;
+      consumers_seen := scheduled
+    end;
+    !dl
+  in
   let s = ref 0 in
   (try
   while !remaining > 0 && !failure = None do
@@ -127,19 +150,17 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
         (Printf.sprintf "no schedule within %d control steps" max_csteps)
         !s
     else begin
-      let dl = deadlines sched cdfg mlib ~rate in
+      let dl = current_deadlines () in
       (* Deadline already missed? *)
-      List.iter
-        (fun op ->
-          if (not (Schedule.is_scheduled sched op)) && dl.(op) < !s then
-            fail
-              (Deadline_missed (op, dl.(op)))
-              (Printf.sprintf
-                 "maximum time constraint unsatisfiable: %s needed by cstep \
-                  %d"
-                 (Cdfg.name cdfg op) dl.(op))
-              !s)
-        (Cdfg.ops cdfg);
+      for op = 0 to n - 1 do
+        if (not (Schedule.is_scheduled sched op)) && dl.(op) < !s then
+          fail
+            (Deadline_missed (op, dl.(op)))
+            (Printf.sprintf
+               "maximum time constraint unsatisfiable: %s needed by cstep %d"
+               (Cdfg.name cdfg op) dl.(op))
+            !s
+      done;
       (* Replay this step's fixed placements first: they own their
          resources before any free candidate is considered.  The inner
          fixpoint resolves same-step chains among fixed operations (a
@@ -152,16 +173,14 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
             if
               cstep0 > !s
               || not
-                   (List.for_all
-                      (Schedule.is_scheduled sched)
-                      (Cdfg.preds cdfg op))
+                   (List.for_all (Schedule.is_scheduled sched)
+                      facts.preds.(op))
             then false
             else begin
               let offset_in = if cstep0 = !s then offset0 else 0 in
-              let cycles = Timing.op_cycles cdfg mlib op in
+              let cycles = facts.cycles.(op) in
               let finish_ns =
-                if cycles > 1 then 0
-                else offset_in + Timing.op_delay_ns cdfg mlib op
+                if cycles > 1 then 0 else offset_in + facts.delay.(op)
               in
               let group = !s mod rate in
               (match Cdfg.node cdfg op with
@@ -206,11 +225,9 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
             List.filter
               (fun op ->
                 (not (Schedule.is_scheduled sched op))
-                && (not (Hashtbl.mem is_fixed op))
+                && (not is_fixed.(op))
                 && floor_of op <= !s
-                && List.for_all
-                     (Schedule.is_scheduled sched)
-                     (Cdfg.preds cdfg op)
+                && List.for_all (Schedule.is_scheduled sched) facts.preds.(op)
                 && Schedule.earliest_start sched op <= !s)
               (Cdfg.ops cdfg)
           in
@@ -235,10 +252,9 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
                 in
                 if cstep0 <= !s then begin
                   let offset_in = if cstep0 = !s then offset0 else 0 in
-                  let cycles = Timing.op_cycles cdfg mlib op in
+                  let cycles = facts.cycles.(op) in
                   let finish_ns =
-                    if cycles > 1 then 0
-                    else offset_in + Timing.op_delay_ns cdfg mlib op
+                    if cycles > 1 then 0 else offset_in + facts.delay.(op)
                   in
                   let group = !s mod rate in
                   match Cdfg.node cdfg op with

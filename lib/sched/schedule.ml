@@ -4,16 +4,19 @@ type t = {
   cdfg : Cdfg.t;
   mlib : Module_lib.t;
   rate : int;
+  facts : Op_facts.t; (* shared by copies *)
   csteps : int array; (* -1 = unscheduled *)
   finish : int array;
 }
 
-let create cdfg mlib ~rate =
+let create ?facts cdfg mlib ~rate =
   if rate < 1 then invalid_arg "Schedule.create: rate must be >= 1";
   {
     cdfg;
     mlib;
     rate;
+    facts =
+      (match facts with Some f -> f | None -> Op_facts.make cdfg mlib);
     csteps = Array.make (Cdfg.n_ops cdfg) (-1);
     finish = Array.make (Cdfg.n_ops cdfg) 0;
   }
@@ -24,6 +27,7 @@ let copy t =
 let cdfg t = t.cdfg
 let mlib t = t.mlib
 let rate t = t.rate
+let facts t = t.facts
 let is_scheduled t op = t.csteps.(op) >= 0
 
 let cstep t op =
@@ -44,8 +48,8 @@ let set t op ~cstep ~finish_ns =
 
 let unset t op = t.csteps.(op) <- -1
 let all_scheduled t = Array.for_all (fun s -> s >= 0) t.csteps
-let cycles t op = Timing.op_cycles t.cdfg t.mlib op
-let delay t op = Timing.op_delay_ns t.cdfg t.mlib op
+let cycles t op = t.facts.cycles.(op)
+let delay t op = t.facts.delay.(op)
 
 let pipe_length t =
   let worst = ref (-1) in
@@ -73,7 +77,7 @@ let min_start_with_chaining t op =
   let stage = Module_lib.stage_ns t.mlib in
   let dv = delay t op in
   let multi = cycles t op > 1 in
-  let ps = List.filter (is_scheduled t) (Cdfg.preds t.cdfg op) in
+  let ps = List.filter (is_scheduled t) t.facts.preds.(op) in
   let cstep0 =
     List.fold_left
       (fun acc p ->

@@ -10,7 +10,10 @@ open Mcs_cdfg
 
 type t
 
-val create : Cdfg.t -> Module_lib.t -> rate:int -> t
+val create : ?facts:Op_facts.t -> Cdfg.t -> Module_lib.t -> rate:int -> t
+(** An empty schedule.  [facts] must be [Op_facts.make cdfg mlib]; a
+    scheduler that already built them passes them in, otherwise they are
+    built here. *)
 
 val copy : t -> t
 (** An independent snapshot: mutations of either side never show through.
@@ -19,6 +22,9 @@ val copy : t -> t
 val cdfg : t -> Cdfg.t
 val mlib : t -> Module_lib.t
 val rate : t -> int
+
+val facts : t -> Op_facts.t
+(** The per-operation facts the schedule was created with. *)
 
 val is_scheduled : t -> Types.op_id -> bool
 val cstep : t -> Types.op_id -> int

@@ -366,6 +366,37 @@ let test_solver_stats_per_domain () =
   | None -> Alcotest.fail "expected solver stats");
   checki "merged count is exact" (before + bumps) (M.count c_ok)
 
+(* Histograms are sharded per domain like counters: the list scheduler's
+   [ls.ready_size] observations, made from both domains of a two-job
+   pool, add up to exactly what one domain observes for the same jobs. *)
+let test_histogram_exact_across_domains () =
+  let jobs =
+    List.concat_map
+      (fun rate ->
+        [
+          job ~rate ();
+          job ~design:(Job.Named "elliptic") ~flow:Job.Ch6 ~rate:(rate + 3) ();
+        ])
+      [ 3; 4; 5 ]
+  in
+  let ready () =
+    match List.assoc_opt "ls.ready_size" (M.snapshot ()) with
+    | Some (M.Histogram { counts; total; sum; _ }) -> (Array.to_list counts, total, sum)
+    | _ -> Alcotest.fail "ls.ready_size is not a registered histogram"
+  in
+  let observed ~jobs:n =
+    let counts0, total0, sum0 = ready () in
+    let (_ : Outcome.t list) = Pool.run ~jobs:n jobs in
+    let counts1, total1, sum1 = ready () in
+    (List.map2 ( - ) counts1 counts0, total1 - total0, sum1 - sum0)
+  in
+  let one_counts, one_total, one_sum = observed ~jobs:1 in
+  let two_counts, two_total, two_sum = observed ~jobs:2 in
+  checkb "the jobs list-schedule" true (one_total > 0);
+  checki "observations" one_total two_total;
+  checki "sum" one_sum two_sum;
+  checkb "bucket counts" true (one_counts = two_counts)
+
 (* --- Pareto --- *)
 
 let test_pareto_frontier () =
@@ -427,6 +458,8 @@ let suite =
         test_pool_retry_after_stall;
       Alcotest.test_case "solver stats stay per domain" `Quick
         test_solver_stats_per_domain;
+      Alcotest.test_case "histograms exact across domains" `Quick
+        test_histogram_exact_across_domains;
       Alcotest.test_case "cache hit on identical job" `Quick
         test_cache_hit_on_identical_job;
       Alcotest.test_case "cache miss after version bump" `Quick

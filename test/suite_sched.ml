@@ -258,6 +258,82 @@ let test_fds_frames_fixed_propagation () =
         (Fds.frames d.Benchmarks.cdfg d.Benchmarks.mlib ~rate:3 ~pipe_length:10 ~fixed
         = None)
 
+(* [Fds.frames] settles the same windows as the pass-based reference
+   ([Fds_oracle]), on the bundled and generated designs at several rates
+   and pipe lengths, under random fixings: sequences of steps inside the
+   current windows, as the scheduler makes them, steps just outside,
+   which must come back infeasible from both, and on the bundled designs
+   each operation alone at either end of its window. *)
+let test_fds_frames_oracle () =
+  let rng = Random.State.make [| 1992 |] in
+  let bundled =
+    [ "ar-simple"; "ar-general"; "elliptic"; "cond-demo"; "subbus-demo" ]
+  in
+  let names =
+    bundled
+    @ List.init 30 (fun i ->
+          Printf.sprintf "random:%d:%d:%d" (31 + (6007 * i)) (2 + (i mod 3))
+            (12 + (4 * (i mod 4))))
+    @ List.init 10 (fun i ->
+          Printf.sprintf "rsimple:%d:%d:%d" (17 + (3001 * i)) (2 + (i mod 2))
+            (4 + (i mod 3)))
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun name ->
+      let d = Golden_connect.resolve name in
+      let cdfg = d.Benchmarks.cdfg and mlib = d.Benchmarks.mlib in
+      let n = Cdfg.n_ops cdfg in
+      let cp = Timing.critical_path_csteps cdfg mlib in
+      List.iter
+        (fun (rate, pipe_length) ->
+          let fixed = Array.make n None in
+          let same () =
+            let want = Fds_oracle.frames cdfg mlib ~rate ~pipe_length ~fixed in
+            let got = Fds.frames cdfg mlib ~rate ~pipe_length ~fixed in
+            incr checked;
+            if want <> got then
+              Alcotest.failf "%s r%d pl%d: frames differ from the reference"
+                name rate pipe_length;
+            want
+          in
+          let rec walk steps =
+            match same () with
+            | Some (lb, ub) when steps > 0 ->
+                let free =
+                  List.filter (fun v -> fixed.(v) = None) (Cdfg.ops cdfg)
+                in
+                if free <> [] then begin
+                  let v = List.nth free (Random.State.int rng (List.length free)) in
+                  let s = lb.(v) - 1 + Random.State.int rng (ub.(v) - lb.(v) + 3) in
+                  fixed.(v) <- Some s;
+                  ignore (same ());
+                  if s < lb.(v) || s > ub.(v) then fixed.(v) <- Some lb.(v);
+                  walk (steps - 1)
+                end
+            | _ -> ()
+          in
+          (* Every operation fixed alone at each end of its window, on
+             the bundled designs (elliptic's recursive edges bind only
+             there). *)
+          (if List.mem name bundled then
+             match same () with
+             | Some (lb, ub) ->
+                 List.iter
+                   (fun v ->
+                     List.iter
+                       (fun s ->
+                         fixed.(v) <- Some s;
+                         ignore (same ());
+                         fixed.(v) <- None)
+                       [ lb.(v); ub.(v) ])
+                   (Cdfg.ops cdfg)
+             | None -> ());
+          walk n)
+        [ (1, cp); (2, cp); (3, cp + 2); (4, cp + 5); (5, cp + 3); (7, cp + 8) ])
+    names;
+  checkb "cases checked" true (!checked > 1000)
+
 let suite =
   ( "sched",
     [
@@ -278,5 +354,8 @@ let suite =
       Alcotest.test_case "FDS schedules EWF at rate 5" `Quick test_fds_rate5_schedules_ewf;
       Alcotest.test_case "FDS functional-unit requirements" `Quick test_fds_fu_requirements;
       Alcotest.test_case "FDS frames with fixed ops" `Quick test_fds_frames_fixed_propagation;
+      Alcotest.test_case "golden FDS placement records" `Quick Golden_fds.check;
+      Alcotest.test_case "FDS frames match the pass-based reference" `Quick
+        test_fds_frames_oracle;
     ]
     @ [ QCheck_alcotest.to_alcotest prop_wheel_capacity ] )
