@@ -170,7 +170,11 @@ let ch4_design tag (d : Benchmarks.design) mode rates =
             :: (Report.pins_row r.F.pins
                @ [
                    pipe_or r.F.schedule;
-                   (match r.F.static_pipe_length with
+                   (match
+                      F.static_baseline
+                        (F.spec_of_design ~mode ~flow:F.Ch4 d ~rate)
+                        r
+                    with
                    | Some n -> string_of_int n
                    | None -> "fail");
                  ]))

@@ -54,8 +54,9 @@ module Diag = Mcs_flow.Diag
 module Pass = Mcs_flow.Pass
 
 (* Rendering of the unified flow result, preserving the per-flow report
-   shapes of the dissertation's tables. *)
-let render (d : Benchmarks.design) (r : F.result) =
+   shapes of the dissertation's tables.  [static] is the result's
+   {!F.static_baseline}. *)
+let render (d : Benchmarks.design) (r : F.result) ~static =
   let cdfg = d.Benchmarks.cdfg in
   match (r.F.flow, r.F.connection) with
   | _, A.Bundles links ->
@@ -83,7 +84,7 @@ let render (d : Benchmarks.design) (r : F.result) =
       pins_table d r.F.pins;
       Format.fprintf fmt "@.pipe length: %d (static assignment: %s)@."
         r.F.pipe_length
-        (match r.F.static_pipe_length with
+        (match static with
         | Some n -> string_of_int n
         | None -> "unschedulable")
   | _, A.Subbuses { buses; _ } ->
@@ -93,11 +94,11 @@ let render (d : Benchmarks.design) (r : F.result) =
       pins_table d r.F.pins;
       Format.fprintf fmt "@.pipe length: %d@." r.F.pipe_length
 
-let fields_of (r : F.result) =
+let fields_of (r : F.result) ~static =
   let static () =
     [
       ( "static_pipe_length",
-        match r.F.static_pipe_length with
+        match static with
         | Some n -> J.Int n
         | None -> J.Null );
     ]
@@ -384,7 +385,10 @@ let synth design flow rate pipe_length ports check strict deadline_ms
             let code, fields =
               match outcome with
               | Ok r ->
-                  render d r;
+                  (* The static-assignment baseline, for the report
+                     only: after the timed run, outside its budget. *)
+                  let static = F.static_baseline spec r in
+                  render d r ~static;
                   (match refine_out with
                   | Some out -> refine_report out
                   | None -> ());
@@ -407,7 +411,7 @@ let synth design flow rate pipe_length ports check strict deadline_ms
                     end
                     else 0
                   in
-                  (code, fields_of r @ refine_fields refine_out
+                  (code, fields_of r ~static @ refine_fields refine_out
                          @ diag_fields r.F.diags)
               | Error dg ->
                   Format.eprintf "%a@." (Diag.pp ~cdfg) dg;

@@ -57,7 +57,9 @@ let () =
           Format.printf
             "@.pipe length %d with reassignment, %s without@."
             r.F.pipe_length
-            (match r.F.static_pipe_length with
+            (match
+               F.static_baseline (F.spec_of_design ~flow:F.Ch4 general ~rate) r
+             with
             | Some n -> string_of_int n
             | None -> "unschedulable"))
     general.Benchmarks.rates

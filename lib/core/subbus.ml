@@ -32,7 +32,6 @@ type t = {
   allocation : ((int * sub * int) * (string * int * Types.op_id list)) list;
   schedule : Mcs_sched.Schedule.t;
   pins : (int * int) list;
-  static_pipe_length : int option;
 }
 
 (* Mutable search state for one bus.  The fields after [assigned] are
@@ -1016,5 +1015,4 @@ let schedule_over ?(budget = Budget.unlimited) cdfg mlib cons ~rate ~dynamic
           allocation = allocation_of st;
           schedule;
           pins;
-          static_pipe_length = None;
         }

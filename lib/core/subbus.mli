@@ -14,7 +14,8 @@
       experiments).
 
     This module holds the two phases; [Mcs_flow.Flow] drives them (the
-    slot-cap sweep, the static baseline and the choice among caps). *)
+    slot-cap sweep and the choice among caps; [Flow.static_baseline]
+    reschedules the winner statically for the reports that print it). *)
 
 open Mcs_cdfg
 
@@ -35,7 +36,6 @@ type t = {
       (** [((bus, slice, group), (value, cstep, ops))] *)
   schedule : Mcs_sched.Schedule.t;
   pins : (int * int) list;
-  static_pipe_length : int option;
 }
 
 val search :
@@ -79,9 +79,12 @@ val schedule_over :
 (** List scheduling over an already-synthesized bus structure (a {!search}
     result): builds the sub-slot hook — restricted reassignment when
     [dynamic], the initially assigned slice only otherwise — and returns
-    the full flow record ([static_pipe_length] left [None]).  Lets a pass
-    manager run connection synthesis and scheduling as separate phases
-    without re-searching.  [budget] exhaustion inside the scheduler raises
+    the full flow record.  Lets a pass manager run connection synthesis
+    and scheduling as separate phases without re-searching.  The Ch. 6
+    slot-cap sweep runs it once per cap, dynamic only; the static run
+    ([~dynamic:false]) is [Flow.static_baseline]'s, once per sweep, on
+    the winning cap's buses and initial assignment.  [budget]
+    exhaustion inside the scheduler raises
     {!Mcs_resilience.Budget.Out_of_budget} (it is not a property of this
     bus structure); other scheduling failures return [Error].
 

@@ -65,10 +65,11 @@ let with_solver_stats ~arith f =
    from MCS_CHECK (one process, so a sweep's verdicts are uniform), and
    its verdict rides on the outcome into caches and mcs-dse/1 reports.
    [policy] (a sweep's --deadline-ms, the server's per-request deadline)
-   bounds the flow and refinement. *)
-let exec_diag_raw ?(policy = F.default_policy) (job : Job.t) =
+   bounds the flow and refinement.  [resolve] materializes the job's
+   design: {!Job.resolve}, or a sweep's shared table (see [run]). *)
+let exec_diag_raw ~resolve ?(policy = F.default_policy) (job : Job.t) =
   M.incr c_executed;
-  match Job.resolve job.Job.design with
+  match resolve job.Job.design with
   | Error m -> (settled job (Outcome.Infeasible m), None)
   | Ok d -> (
       let flow, mode =
@@ -139,13 +140,32 @@ let exec_diag_raw ?(policy = F.default_policy) (job : Job.t) =
               ~fu_count:(F.fus_total r) ~check ~degraded:r.F.degraded ~solver,
             None ))
 
-let exec_diag ?policy job =
-  try exec_diag_raw ?policy job with
+let exec_diag_in ~resolve ?policy job =
+  try exec_diag_raw ~resolve ?policy job with
   | Invalid_argument m | Failure m ->
       (settled job (Outcome.Infeasible m), None)
   | e -> (settled job (Outcome.Crashed (Printexc.to_string e)), None)
 
+let exec_diag ?policy job = exec_diag_in ~resolve:Job.resolve ?policy job
 let exec ?policy job = fst (exec_diag ?policy job)
+
+(* One design per sweep: every distinct design of the jobs [todo] is
+   materialized once, in the calling domain, and the read-only result is
+   shared by all of that sweep's jobs and domains.  An exception from
+   [Job.resolve] is kept and re-raised in each job that asks, so it ends
+   the same way as when the job resolved its own design.  The table lives
+   as long as the returned function, which [run] drops on return. *)
+let sweep_resolver joblist todo =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun i ->
+      let spec = joblist.(i).Job.design in
+      if not (Hashtbl.mem table spec) then
+        Hashtbl.add table spec
+          (match Job.resolve spec with d -> Ok d | exception e -> Error e))
+    todo;
+  fun spec ->
+    match Hashtbl.find table spec with Ok d -> d | Error e -> raise e
 
 (* ---- the sweep: one single-entry batch per job on the supervisor ---- *)
 
@@ -190,6 +210,17 @@ let attempt_policy ?(policy = F.default_policy) ~stall_s ~degraded () =
    the job runs again in degraded mode; at the limit its failure stands.
    Without [retry] the first strike is the limit. *)
 let supervise ~jobs ~stall_s ?worker ~retry ?policy joblist results todo =
+  let work =
+    match worker with
+    | Some w -> fun ~degraded:_ job -> w job
+    | None ->
+        let resolve = sweep_resolver joblist todo in
+        fun ~degraded job ->
+          fst
+            (exec_diag_in ~resolve
+               ~policy:(attempt_policy ?policy ~stall_s ~degraded ())
+               job)
+  in
   let key i = Job.to_string joblist.(i) in
   let strikes =
     Supervisor.Strikes.create ~max_strikes:(if retry then 2 else 1) ()
@@ -210,11 +241,7 @@ let supervise ~jobs ~stall_s ?worker ~retry ?policy joblist results todo =
         settled job
           (Outcome.Crashed "injected worker crash (crash-worker fault)")
       else
-        try
-          match worker with
-          | Some w -> w job
-          | None ->
-              exec ~policy:(attempt_policy ?policy ~stall_s ~degraded ()) job
+        try work ~degraded job
         with e -> settled job (Outcome.Crashed (Printexc.to_string e))
     in
     match o.Outcome.status with

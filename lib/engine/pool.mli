@@ -53,6 +53,15 @@ val run :
     joined before [run] returns, except a stalled one, which is left
     running and never joined.
 
+    Each distinct design of the jobs to run is materialized once per
+    call ({!Job.resolve}, in the calling domain, before any job starts)
+    and the read-only {!Mcs_cdfg.Benchmarks.design} is shared by every
+    job and domain of that call; a job whose design fails to resolve
+    ends as it would under {!exec}.  The table is scoped to the call:
+    nothing is cached across calls, so a long-lived caller (the daemon)
+    holds no designs between sweeps.  With a custom [worker] no design
+    is resolved here.
+
     [policy] is a template: each job runs under a fresh copy of its
     budget ({!Mcs_resilience.Budget.restart}).  [worker] (default {!exec}
     with that policy) is what each job runs — overridable so tests can

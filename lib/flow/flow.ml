@@ -86,7 +86,6 @@ type result = {
   pins : (int * int) list;
   fus : ((int * string) * int) list;
   pipe_length : int;
-  static_pipe_length : int option;
   attempts : int;
   diags : Diag.t list;
   degraded : string list;
@@ -122,7 +121,7 @@ let is_degraded r = r.degraded <> []
 
 let ( let* ) = Result.bind
 
-let assemble ~flow (s : spec) ~schedule ~connection ~fus ~static_pipe_length =
+let assemble ~flow (s : spec) ~schedule ~connection ~fus =
   {
     flow;
     tag = s.tag;
@@ -133,7 +132,6 @@ let assemble ~flow (s : spec) ~schedule ~connection ~fus ~static_pipe_length =
     pins = pins_of ~n_partitions:(Cdfg.n_partitions s.cdfg) connection;
     fus;
     pipe_length = Sched.pipe_length schedule;
-    static_pipe_length;
     attempts = 0;
     (* filled in by [run] *)
     diags = [];
@@ -201,8 +199,7 @@ let dedicated_bus_fallback pass ~flow (s : spec) =
   in
   Ok
     (assemble ~flow s ~schedule ~connection:(Artifact.Bundles links)
-       ~fus:(fus_of_constraints s.cdfg s.mlib s.cons)
-       ~static_pipe_length:None)
+       ~fus:(fus_of_constraints s.cdfg s.mlib s.cons))
 
 (* ---- Chapter 3: simple partitioning ---- *)
 
@@ -258,15 +255,14 @@ let run_ch3 pass policy (s : spec) =
       in
       Ok
         (assemble ~flow:Ch3 s ~schedule ~connection:(Artifact.Bundles links)
-           ~fus:(fus_of_constraints s.cdfg s.mlib s.cons)
-           ~static_pipe_length:None)
+           ~fus:(fus_of_constraints s.cdfg s.mlib s.cons))
 
 (* ---- Chapter 4: connection synthesis before scheduling ---- *)
 
 let run_ch4 pass policy (s : spec) =
   let budget = policy.budget in
   (* After each connection attempt: dynamic-reassignment scheduling over
-     the synthesized connection, static baseline, assembly. *)
+     the synthesized connection, assembly. *)
   let finish conn initial =
     let dyn = R.create ~budget s.cdfg conn ~rate:s.rate ~initial ~dynamic:true in
     let* schedule =
@@ -280,18 +276,6 @@ let run_ch4 pass policy (s : spec) =
           | Ok sch -> Ok sch
           | Error f -> Error (diag_of_ls_failure ~phase:"ch4.schedule" f))
     in
-    (* Paper's comparison baseline: same connection, static assignment. *)
-    let static_pipe_length =
-      Mcs_obs.Trace.with_span "flow.ch4.baseline" (fun () ->
-          let st = R.create ~budget s.cdfg conn ~rate:s.rate ~initial ~dynamic:false in
-          match
-            LS.run ~budget s.cdfg s.mlib s.cons ~rate:s.rate
-              ~io_hook:(R.hook st) ()
-          with
-          | Ok sch -> Some (Sched.pipe_length sch)
-          | Error _ | (exception Invalid_argument _) -> None
-          | exception Budget.Out_of_budget _ -> None)
-    in
     let connection =
       Artifact.Buses
         {
@@ -303,8 +287,7 @@ let run_ch4 pass policy (s : spec) =
     in
     Ok
       (assemble ~flow:Ch4 s ~schedule ~connection
-         ~fus:(fus_of_constraints s.cdfg s.mlib s.cons)
-         ~static_pipe_length)
+         ~fus:(fus_of_constraints s.cdfg s.mlib s.cons))
   in
   let attempt_cap cap =
     Pass.attempt pass;
@@ -438,8 +421,7 @@ let run_ch5 pass policy (s : spec) =
        ~connection:
          (Artifact.Buses
             { conn; initial = assignment; assignment; allocation = [] })
-       ~fus:(Mcs_sched.Fds.fu_requirements schedule)
-       ~static_pipe_length:None)
+       ~fus:(Mcs_sched.Fds.fu_requirements schedule))
 
 (* ---- Chapter 6: sub-bus sharing ---- *)
 
@@ -466,31 +448,18 @@ let run_ch6 pass policy (s : spec) =
                 (Diag.error ~code:Diag.No_connection ~phase:"ch6.connect" "%s"
                    m))
     in
-    let* t =
-      Pass.phase pass "schedule"
-        ~artifact:(fun (t : SB.t) -> Artifact.Schedule t.SB.schedule)
-        (fun () ->
-          match
-            SB.schedule_over ~budget s.cdfg s.mlib s.cons ~rate:s.rate
-              ~dynamic:true ra
-          with
-          | Ok t -> Ok t
-          | Error m ->
-              Error
-                (Diag.error ~code:Diag.Unschedulable ~phase:"ch6.schedule" "%s"
-                   m))
-    in
-    let static_pipe_length =
-      Mcs_obs.Trace.with_span "flow.ch6.baseline" (fun () ->
-          match
-            SB.schedule_over ~budget s.cdfg s.mlib s.cons ~rate:s.rate
-              ~dynamic:false ra
-          with
-          | Ok t' -> Some (Sched.pipe_length t'.SB.schedule)
-          | Error _ | (exception Invalid_argument _) -> None
-          | exception Budget.Out_of_budget _ -> None)
-    in
-    Ok { t with SB.static_pipe_length }
+    Pass.phase pass "schedule"
+      ~artifact:(fun (t : SB.t) -> Artifact.Schedule t.SB.schedule)
+      (fun () ->
+        match
+          SB.schedule_over ~budget s.cdfg s.mlib s.cons ~rate:s.rate
+            ~dynamic:true ra
+        with
+        | Ok t -> Ok t
+        | Error m ->
+            Error
+              (Diag.error ~code:Diag.Unschedulable ~phase:"ch6.schedule" "%s"
+                 m))
   in
   (* Pin minimization is Chapter 6's whole point: sweep the per-bus value
      cap and keep the schedulable result with fewest pins (shorter pipe
@@ -544,8 +513,34 @@ let run_ch6 pass policy (s : spec) =
                   assignment = best.SB.final_assignment;
                   allocation = best.SB.allocation;
                 })
-           ~fus:(fus_of_constraints s.cdfg s.mlib s.cons)
-           ~static_pipe_length:best.SB.static_pipe_length)
+           ~fus:(fus_of_constraints s.cdfg s.mlib s.cons))
+
+(* ---- the static-assignment baseline ---- *)
+
+(* The paper's comparison (Chs. 4 and 6): the same connection scheduled
+   again with every transfer held to its initially assigned bus or
+   slice.  Only reports print it, so no flow computes it. *)
+let static_baseline (s : spec) (r : result) =
+  let pipe = function
+    | Ok sch -> Some (Sched.pipe_length sch)
+    | Error _ -> None
+  in
+  try
+    match (r.flow, r.connection) with
+    | Ch4, Artifact.Buses { conn; initial; _ } ->
+        Mcs_obs.Trace.with_span "flow.ch4.baseline" (fun () ->
+            let st = R.create s.cdfg conn ~rate:s.rate ~initial ~dynamic:false in
+            pipe
+              (LS.run s.cdfg s.mlib s.cons ~rate:s.rate ~io_hook:(R.hook st) ()))
+    | Ch6, Artifact.Subbuses { buses; initial; _ } ->
+        Mcs_obs.Trace.with_span "flow.ch6.baseline" (fun () ->
+            pipe
+              (Result.map
+                 (fun (t : SB.t) -> t.SB.schedule)
+                 (SB.schedule_over s.cdfg s.mlib s.cons ~rate:s.rate
+                    ~dynamic:false (buses, initial))))
+    | _ -> None
+  with Invalid_argument _ -> None
 
 (* ---- the unified entry point ---- *)
 

@@ -81,8 +81,6 @@ type result = {
       (** per (partition, optype): the constraint tables' allocation for
           the resource-constrained flows, FDS-implied counts for Ch. 5 *)
   pipe_length : int;
-  static_pipe_length : int option;
-      (** Ch. 4/6 static-assignment baseline, when it completes *)
   attempts : int;  (** retry-loop iterations the flow needed *)
   diags : Diag.t list;
       (** diagnostics collected during the run; under {!Pass.Warn} this
@@ -104,6 +102,24 @@ val fus_of_constraints :
   Cdfg.t -> Module_lib.t -> Constraints.t -> ((int * string) * int) list
 (** The constraint tables' functional-unit allocation as a per
     [(partition, optype)] list (only nonzero entries). *)
+
+val static_baseline : spec -> result -> int option
+(** The paper's Ch. 4/Ch. 6 comparison baseline: the pipe length of the
+    result's connection scheduled again with static assignment (every
+    transfer on its initially assigned bus, or sub-bus slice) from the
+    result's [Buses {conn; initial}] (Ch. 4) or [Subbuses {buses;
+    initial}] (Ch. 6).  [None] when that schedule fails, and for every
+    other flow or connection shape (Ch. 3, Ch. 5, a dedicated-bus
+    fallback).  [spec] must be the one the result was synthesized from.
+
+    No flow computes it: {!run} leaves it to the reports that print it
+    (the CLI, the bench tables and the AR-filter example), so the [dse]
+    and [mcs-serve] jobs, which never read it, never pay for it.  It runs
+    unbudgeted, in spans [flow.ch4.baseline] / [flow.ch6.baseline] of
+    its own.  So under [--deadline-ms] the CLI's baseline runs after the
+    flow, outside the flow's budget, and a budgeted run reports the same
+    baseline as an unbudgeted run over the same connection: for Ch. 6 the
+    winning cap's (one baseline run, however many caps the sweep tried). *)
 
 val pins_total : result -> int
 val fus_total : result -> int

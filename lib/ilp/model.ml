@@ -207,14 +207,6 @@ let solve ?budget ?(method_ = `Branch_bound) ~arith ?warm_key t =
       | Gomory.Unbounded -> Unbounded
       | Gomory.Gave_up -> Unknown)
 
-let lp_relaxation t =
-  let p, _ = to_problem t in
-  match Simplex.solve p with
-  | Simplex.Optimal s -> Optimal (wrap_solution t s)
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Unbounded -> Unbounded
-  | Simplex.Exhausted e -> Exhausted e
-
 let int_value sol x =
   let value = sol.values x in
   if not (R.is_integer value) then

@@ -107,7 +107,6 @@ val solve :
     keyed by {e variable names}, so neighboring grid points with the same
     model shape chain even though their bounds differ). *)
 
-val lp_relaxation : t -> outcome
 val int_value : solution -> var -> int
 (** @raise Invalid_argument if the variable's value is fractional. *)
 

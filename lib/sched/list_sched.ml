@@ -36,18 +36,19 @@ type failure = {
    [failure] instead of the [Invalid_argument] it used to escape as. *)
 exception No_fu of int * string
 
-let longest_paths cdfg ~cycles =
-  let n = Cdfg.n_ops cdfg in
-  let g = Mcs_graph.Digraph.create n in
+(* Longest path (in cycles) from each operation to any sink over the
+   degree-0 edges: successors come first in reverse topological order. *)
+let priorities_of (facts : Op_facts.t) =
+  let prio = Array.make (Array.length facts.cycles) 0 in
   List.iter
-    (fun { Types.e_src; e_dst; degree } ->
-      if degree = 0 then Mcs_graph.Digraph.add_edge g ~src:e_src ~dst:e_dst)
-    (Cdfg.edges cdfg);
-  Mcs_graph.Digraph.longest_path_from g ~weight:(Array.get cycles)
+    (fun v ->
+      prio.(v) <-
+        facts.cycles.(v)
+        + List.fold_left (fun acc w -> max acc prio.(w)) 0 facts.succs.(v))
+    facts.rev_topo;
+  prio
 
-let priorities cdfg mlib =
-  longest_paths cdfg
-    ~cycles:(Array.init (Cdfg.n_ops cdfg) (Timing.op_cycles cdfg mlib))
+let priorities cdfg mlib = priorities_of (Op_facts.make cdfg mlib)
 
 let big = max_int / 4
 
@@ -109,7 +110,7 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
         Hashtbl.add wheels (partition, optype) w;
         w
   in
-  let prio = longest_paths cdfg ~cycles:facts.cycles in
+  let prio = priorities_of facts in
   (match priority_bias with
   | Some bias ->
       Array.iteri (fun i b -> prio.(i) <- prio.(i) + b) bias
@@ -142,6 +143,39 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
     !dl
   in
   let s = ref 0 in
+  (* Event-driven readiness.  An operation's earliest start depends only
+     on its predecessors' placements, which never change, so when its
+     last predecessor is placed its release step [max floor earliest] is
+     final.  It then waits in [bucket] for that step, or joins [incoming]
+     if the step has been reached; [incoming] enters the pool at the next
+     sweep, exactly when a rescan of every operation would first see it.
+     Fixed operations are never pooled, but their replay releases their
+     successors like any placement. *)
+  let start = Array.make n (0, 0) in
+  let waiting = Array.map List.length facts.preds in
+  let bucket = Hashtbl.create 16 in
+  let incoming = ref [] and pool = ref [] in
+  let release op =
+    if not is_fixed.(op) then begin
+      let ((cstep0, _) as st) = Schedule.min_start_with_chaining sched op in
+      start.(op) <- st;
+      let r = max (floor_of op) cstep0 in
+      if r <= !s then incoming := op :: !incoming
+      else
+        Hashtbl.replace bucket r
+          (op :: Option.value (Hashtbl.find_opt bucket r) ~default:[])
+    end
+  in
+  let place op ~finish_ns =
+    Schedule.set sched op ~cstep:!s ~finish_ns;
+    decr remaining;
+    List.iter
+      (fun w ->
+        waiting.(w) <- waiting.(w) - 1;
+        if waiting.(w) = 0 then release w)
+      facts.succs.(op)
+  in
+  Array.iteri (fun op k -> if k = 0 then release op) waiting;
   (try
   while !remaining > 0 && !failure = None do
     Budget.spend_pass budget;
@@ -150,17 +184,23 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
         (Printf.sprintf "no schedule within %d control steps" max_csteps)
         !s
     else begin
+      (match Hashtbl.find_opt bucket !s with
+      | Some ops ->
+          Hashtbl.remove bucket !s;
+          incoming := List.rev_append ops !incoming
+      | None -> ());
       let dl = current_deadlines () in
       (* Deadline already missed? *)
-      for op = 0 to n - 1 do
-        if (not (Schedule.is_scheduled sched op)) && dl.(op) < !s then
-          fail
-            (Deadline_missed (op, dl.(op)))
-            (Printf.sprintf
-               "maximum time constraint unsatisfiable: %s needed by cstep %d"
-               (Cdfg.name cdfg op) dl.(op))
-            !s
-      done;
+      if constraints <> [] then
+        for op = 0 to n - 1 do
+          if (not (Schedule.is_scheduled sched op)) && dl.(op) < !s then
+            fail
+              (Deadline_missed (op, dl.(op)))
+              (Printf.sprintf
+                 "maximum time constraint unsatisfiable: %s needed by cstep %d"
+                 (Cdfg.name cdfg op) dl.(op))
+              !s
+        done;
       (* Replay this step's fixed placements first: they own their
          resources before any free candidate is considered.  The inner
          fixpoint resolves same-step chains among fixed operations (a
@@ -168,7 +208,7 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
       (match Hashtbl.find_opt fixed_at !s with
       | None -> ()
       | Some ops when !failure = None ->
-          let place op =
+          let replay op =
             let cstep0, offset0 = Schedule.min_start_with_chaining sched op in
             if
               cstep0 > !s
@@ -195,8 +235,7 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
                   let (_ : int) = Alloc_wheel.assign w ~group ~cycles in
                   ()
               | Types.Io _ -> io_hook.io_commit sched op ~cstep:!s);
-              Schedule.set sched op ~cstep:!s ~finish_ns;
-              decr remaining;
+              place op ~finish_ns;
               true
             end
           in
@@ -204,7 +243,7 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
           while !again do
             again := false;
             pending :=
-              List.filter (fun op -> if place op then (again := true; false) else true) !pending
+              List.filter (fun op -> if replay op then (again := true; false) else true) !pending
           done;
           (match !pending with
           | [] -> ()
@@ -221,16 +260,8 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
         let progress = ref true in
         while !progress && !failure = None do
           progress := false;
-          let ready =
-            List.filter
-              (fun op ->
-                (not (Schedule.is_scheduled sched op))
-                && (not is_fixed.(op))
-                && floor_of op <= !s
-                && List.for_all (Schedule.is_scheduled sched) facts.preds.(op)
-                && Schedule.earliest_start sched op <= !s)
-              (Cdfg.ops cdfg)
-          in
+          let ready = List.rev_append !incoming !pool in
+          incoming := [];
           let n_ready = List.length ready in
           M.observe h_ready_size n_ready;
           M.set_max g_ready_peak (float_of_int n_ready);
@@ -246,37 +277,35 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
           in
           List.iter
             (fun op ->
-              if !failure = None && not (Schedule.is_scheduled sched op) then begin
-                let cstep0, offset0 =
-                  Schedule.min_start_with_chaining sched op
+              if !failure = None then begin
+                (* Released ops have every predecessor placed, so this is
+                   their [min_start_with_chaining], at or before [!s]. *)
+                let cstep0, offset0 = start.(op) in
+                let offset_in = if cstep0 = !s then offset0 else 0 in
+                let cycles = facts.cycles.(op) in
+                let finish_ns =
+                  if cycles > 1 then 0 else offset_in + facts.delay.(op)
                 in
-                if cstep0 <= !s then begin
-                  let offset_in = if cstep0 = !s then offset0 else 0 in
-                  let cycles = facts.cycles.(op) in
-                  let finish_ns =
-                    if cycles > 1 then 0 else offset_in + facts.delay.(op)
-                  in
-                  let group = !s mod rate in
-                  match Cdfg.node cdfg op with
-                  | Types.Func { optype; partition } ->
-                      let w = wheel partition optype in
-                      if Alloc_wheel.fit w ~group ~cycles <> None then begin
-                        let (_ : int) = Alloc_wheel.assign w ~group ~cycles in
-                        Schedule.set sched op ~cstep:!s ~finish_ns;
-                        decr remaining;
-                        progress := true
-                      end
-                  | Types.Io _ ->
-                      M.incr m_io_tests;
-                      if io_hook.io_can sched op ~cstep:!s then begin
-                        io_hook.io_commit sched op ~cstep:!s;
-                        Schedule.set sched op ~cstep:!s ~finish_ns;
-                        decr remaining;
-                        progress := true
-                      end
-                end
+                let group = !s mod rate in
+                match Cdfg.node cdfg op with
+                | Types.Func { optype; partition } ->
+                    let w = wheel partition optype in
+                    if Alloc_wheel.fit w ~group ~cycles <> None then begin
+                      let (_ : int) = Alloc_wheel.assign w ~group ~cycles in
+                      place op ~finish_ns;
+                      progress := true
+                    end
+                | Types.Io _ ->
+                    M.incr m_io_tests;
+                    if io_hook.io_can sched op ~cstep:!s then begin
+                      io_hook.io_commit sched op ~cstep:!s;
+                      place op ~finish_ns;
+                      progress := true
+                    end
               end)
-            ordered
+            ordered;
+          pool :=
+            List.filter (fun op -> not (Schedule.is_scheduled sched op)) ordered
         done;
         M.incr m_csteps;
         incr s

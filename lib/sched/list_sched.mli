@@ -11,7 +11,19 @@
 
     Data recursive edges impose maximum time constraints; the scheduler
     tracks the induced deadlines and fails — like the paper's greedy list
-    scheduler — when a deadline can no longer be met. *)
+    scheduler — when a deadline can no longer be met.
+
+    Readiness is event-driven.  Each operation counts its unplaced
+    predecessors; when the last one is placed, its release step
+    [max floor earliest_start] is computed once (it cannot change, since
+    placements are final) and it waits in a bucket for that step, or
+    enters the pool at the next sweep if the step has been reached — so a
+    chained successor is still tried in the next sweep of the same
+    control step.  Each control step sweeps its pool until nothing more
+    places, trying candidates in (deadline, priority, op) order.  The
+    order and every placement are those of a scheduler that rescans all
+    operations on every sweep, and [ls.ready_size] keeps its meaning: the
+    number of candidates of each sweep (one observation per sweep). *)
 
 open Mcs_cdfg
 

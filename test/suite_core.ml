@@ -754,6 +754,82 @@ let test_ch3_uncovered_commit_drops_witness () =
    arithmetics, for the simple bundled designs and 50 generated ones. *)
 let test_golden_ch3 () = Golden_sched.check_ch3 ()
 
+(* --- the static-assignment baseline, computed by the reports only --- *)
+
+let ls_runs = Mcs_obs.Metrics.counter "ls.runs"
+
+let spec_of name flow ?mode ~rate () =
+  F.spec_of_design ?mode ~flow (Golden_connect.resolve name) ~rate
+
+(* A Ch. 4 run schedules once (dynamic reassignment); the baseline is one
+   more scheduling run, only when asked for. *)
+let test_baseline_runs_once () =
+  let spec = spec_of "ar-general" F.Ch4 ~mode:Mcs_connect.Connection.Unidir ~rate:3 () in
+  let r0 = Mcs_obs.Metrics.count ls_runs in
+  let r =
+    match F.run F.Ch4 spec with
+    | Ok r -> r
+    | Error d -> Alcotest.fail (Mcs_flow.Diag.message d)
+  in
+  checki "Flow.run schedules once" 1 (Mcs_obs.Metrics.count ls_runs - r0);
+  let r1 = Mcs_obs.Metrics.count ls_runs in
+  Alcotest.(check (option int)) "baseline" (Some 11) (F.static_baseline spec r);
+  checki "the baseline schedules once more" 1 (Mcs_obs.Metrics.count ls_runs - r1)
+
+(* [static_pipe_length] as the CLI's [--json] reported it when every flow
+   computed its baseline: each Ch. 4/Ch. 6 paper point, and ar-general
+   ch4 after [--refine=8] (the baseline of the refined result's
+   connection). *)
+let baseline_points =
+  let u = Some Mcs_connect.Connection.Unidir
+  and b = Some Mcs_connect.Connection.Bidir in
+  [
+    ("ar-general", F.Ch4, u, 3, 0, Some 11);
+    ("ar-general", F.Ch4, u, 4, 0, Some 12);
+    ("ar-general", F.Ch4, u, 5, 0, Some 15);
+    ("ar-general", F.Ch4, b, 3, 0, Some 12);
+    ("ar-general", F.Ch4, b, 4, 0, Some 12);
+    ("ar-general", F.Ch4, b, 5, 0, Some 15);
+    ("ar-general", F.Ch6, None, 3, 0, Some 12);
+    ("ar-general", F.Ch6, None, 4, 0, Some 12);
+    ("ar-general", F.Ch6, None, 5, 0, Some 15);
+    ("cond-demo", F.Ch4, u, 2, 0, Some 5);
+    ("cond-demo", F.Ch4, u, 3, 0, Some 8);
+    ("cond-demo", F.Ch4, b, 3, 0, Some 6);
+    ("cond-demo", F.Ch6, None, 2, 0, Some 6);
+    ("cond-demo", F.Ch6, None, 3, 0, Some 5);
+    ("elliptic", F.Ch4, u, 6, 0, Some 28);
+    ("elliptic", F.Ch4, u, 7, 0, Some 31);
+    ("elliptic", F.Ch4, b, 6, 0, Some 28);
+    ("elliptic", F.Ch4, b, 7, 0, Some 31);
+    ("elliptic", F.Ch6, None, 6, 0, None);
+    ("elliptic", F.Ch6, None, 7, 0, None);
+    ("subbus-demo", F.Ch4, u, 3, 0, Some 6);
+    ("subbus-demo", F.Ch6, None, 3, 0, Some 5);
+    ("ar-general", F.Ch4, u, 3, 8, Some 11);
+    ("ar-general", F.Ch4, b, 3, 8, Some 12);
+  ]
+
+let test_baseline_values () =
+  List.iter
+    (fun (name, flow, mode, rate, refine, want) ->
+      let spec = spec_of name flow ?mode ~rate () in
+      let label =
+        Printf.sprintf "%s %s r%d refine %d" name (F.name_to_string flow) rate
+          refine
+      in
+      match F.run flow spec with
+      | Error d -> Alcotest.failf "%s: %s" label (Mcs_flow.Diag.message d)
+      | Ok r ->
+          let r =
+            if refine = 0 then r
+            else
+              (Mcs_refine.Refine.improve ~max_iters:refine spec r)
+                .Mcs_refine.Refine.result
+          in
+          Alcotest.(check (option int)) label want (F.static_baseline spec r))
+    baseline_points
+
 let extra_tests =
   [
     Alcotest.test_case "Improve never worsens the pipe" `Slow test_improve_never_worse;
@@ -773,6 +849,10 @@ let extra_tests =
       test_ch3_hook_history_exact;
     Alcotest.test_case "Ch. 3 uncovered commit drops the witness" `Quick
       test_ch3_uncovered_commit_drops_witness;
+    Alcotest.test_case "static baseline: one run, only when asked" `Quick
+      test_baseline_runs_once;
+    Alcotest.test_case "static baseline values of the paper points" `Quick
+      test_baseline_values;
   ]
 
 let suite = ("core", base_tests @ extra_tests)

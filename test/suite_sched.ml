@@ -334,6 +334,240 @@ let test_fds_frames_oracle () =
     names;
   checkb "cases checked" true (!checked > 1000)
 
+(* --- the event-driven ready list against the filter-based sweep --- *)
+
+(* [List_sched.run] against [Ls_oracle], the per-sweep rescan it
+   replaced, on the inputs of [Refine]'s resched-tail move: a frozen
+   prefix of an earlier schedule ([~fixed]), control-step floors
+   ([~min_cstep]) and priority jitter ([~priority_bias]), under stateful
+   communication hooks.  Placements, outcome, the I/O tests asked, the
+   control steps finished and the ready-list sizes (sum and count of the
+   [ls.ready_size] histogram) must all agree. *)
+
+module M = Mcs_obs.Metrics
+
+let ready_hist () =
+  match List.assoc_opt "ls.ready_size" (M.snapshot ()) with
+  | Some (M.Histogram { sum; total; _ }) -> (sum, total)
+  | _ -> (0, 0)
+
+let c_csteps = M.counter "ls.csteps"
+
+(* At most [k] I/O operations per (sending partition, group): a cheap
+   stateful hook that postpones I/O the way the pin and bus hooks do. *)
+let slot_hook cdfg ~rate ~k () =
+  let used = Hashtbl.create 16 in
+  let key op cstep = (Cdfg.io_src cdfg op, cstep mod rate) in
+  let get kk = Option.value (Hashtbl.find_opt used kk) ~default:0 in
+  {
+    List_sched.io_can = (fun _ op ~cstep -> get (key op cstep) < k);
+    io_commit =
+      (fun _ op ~cstep ->
+        let kk = key op cstep in
+        Hashtbl.replace used kk (get kk + 1));
+  }
+
+(* Ch. 4's dynamic bus reassignment over a searched connection. *)
+let reassign_hook cdfg cons ~rate =
+  match
+    Mcs_connect.Heuristic.search cdfg cons ~rate ~mode:Mcs_connect.Connection.Unidir
+      ~branching:2 ~max_nodes:2000 ()
+  with
+  | Ok r ->
+      Some
+        (fun () ->
+          Mcs_connect.Reassign.hook
+            (Mcs_connect.Reassign.create cdfg r.Mcs_connect.Heuristic.conn
+               ~rate ~initial:r.Mcs_connect.Heuristic.assign ~dynamic:true))
+  | Error _ -> None
+
+let render_sched sched =
+  String.concat ";"
+    (List.map
+       (fun op ->
+         if Schedule.is_scheduled sched op then
+           Printf.sprintf "%d/%d" (Schedule.cstep sched op)
+             (Schedule.finish_ns sched op)
+         else "-")
+       (Cdfg.ops (Schedule.cdfg sched)))
+
+let render_outcome = function
+  | Ok sched -> "ok " ^ render_sched sched
+  | Error (f : List_sched.failure) ->
+      Printf.sprintf "fail %d %s: %s" f.List_sched.at_cstep f.List_sched.reason
+        (render_sched f.List_sched.partial)
+
+let counting hook =
+  let n = ref 0 in
+  ( n,
+    {
+      hook with
+      List_sched.io_can =
+        (fun sch op ~cstep ->
+          incr n;
+          hook.List_sched.io_can sch op ~cstep);
+    } )
+
+(* One comparison; [None] when both agree, else what differs. *)
+let ls_vs_oracle cdfg mlib cons ~rate ~hook ?priority_bias ?min_cstep ?fixed
+    () =
+  let tests_got, h1 = counting (hook ()) in
+  let c0 = M.count c_csteps and s0, t0 = ready_hist () in
+  let got =
+    match
+      List_sched.run cdfg mlib cons ~rate ~io_hook:h1 ?priority_bias
+        ?min_cstep ?fixed ()
+    with
+    | r -> render_outcome r
+    | exception Invalid_argument m -> "invalid " ^ m
+  in
+  let csteps_got = M.count c_csteps - c0 in
+  let s1, t1 = ready_hist () in
+  let tests_want, h2 = counting (hook ()) in
+  let want, stats =
+    match
+      Ls_oracle.run cdfg mlib cons ~rate ~io_hook:h2 ?priority_bias ?min_cstep
+        ?fixed ()
+    with
+    | r, st -> (render_outcome r, Some st)
+    | exception Invalid_argument m -> ("invalid " ^ m, None)
+  in
+  let diff what a b = if a = b then [] else [ what ] in
+  let stat_diffs =
+    match stats with
+    | None -> []
+    | Some st ->
+        diff "ls.csteps" csteps_got st.Ls_oracle.csteps
+        @ diff "ready_size sum" (s1 - s0)
+            (List.fold_left ( + ) 0 st.Ls_oracle.ready_sizes)
+        @ diff "ready_size count" (t1 - t0)
+            (List.length st.Ls_oracle.ready_sizes)
+  in
+  match
+    diff "outcome" got want @ diff "io tests" !tests_got !tests_want
+    @ stat_diffs
+  with
+  | [] -> None
+  | ds -> Some (String.concat ", " ds ^ "\n got  " ^ got ^ "\n want " ^ want)
+
+(* The designs: the bundled ones, generated general and simple
+   partitionings under both their chaining-free library and the AR
+   filter's (which chains, so successors become ready within a step),
+   and generated designs with recursive edges. *)
+let oracle_designs =
+  lazy
+    (let ar_mlib = (Benchmarks.ar_simple ()).Benchmarks.mlib in
+     let named =
+       List.map Golden_connect.resolve
+         [ "ar-simple"; "ar-general"; "elliptic"; "cond-demo"; "subbus-demo" ]
+     in
+     let generated =
+       List.map Golden_connect.resolve
+         (List.init 6 (fun i ->
+              Printf.sprintf "random:%d:%d:%d" (71 + (977 * i)) (2 + (i mod 3))
+                (12 + (4 * (i mod 4))))
+         @ List.init 3 (fun i ->
+               Printf.sprintf "rsimple:%d:%d:%d" (13 + (401 * i)) (2 + (i mod 2))
+                 (4 + (i mod 3))))
+     in
+     let recursive =
+       List.init 3 (fun i ->
+           let d = Golden_connect.resolve (Printf.sprintf "random:%d:3:16" (5 + i)) in
+           {
+             d with
+             Benchmarks.cdfg =
+               Random_design.generate ~seed:(5 + i) ~n_partitions:3 ~n_ops:16
+                 ~recursive:3 ();
+           })
+     in
+     named @ generated
+     @ List.map (fun d -> { d with Benchmarks.mlib = ar_mlib }) (generated @ recursive)
+     @ recursive)
+
+(* One case: design, rate, hook, and the Refine-style perturbations drawn
+   from [seed]. *)
+let oracle_case (d : Benchmarks.design) ~rate ~hook_kind ~seed =
+  let cdfg = d.Benchmarks.cdfg and mlib = d.Benchmarks.mlib in
+  let cons = Benchmarks.constraints_for d ~rate in
+  let hook =
+    match hook_kind with
+    | 0 -> Some (fun () -> List_sched.unconstrained_io)
+    | 1 -> Some (slot_hook cdfg ~rate ~k:1)
+    | 2 -> Some (slot_hook cdfg ~rate ~k:2)
+    | _ -> reassign_hook cdfg cons ~rate
+  in
+  match hook with
+  | None -> None
+  | Some hook ->
+      let rng = Random.State.make [| seed |] in
+      let n = Cdfg.n_ops cdfg in
+      let priority_bias =
+        if Random.State.bool rng then None
+        else Some (Array.init n (fun _ -> Random.State.int rng 7 - 3))
+      in
+      (* A frozen prefix of a first schedule, as resched-tail cuts it. *)
+      let fixed, cut =
+        match
+          List_sched.run cdfg mlib cons ~rate ~io_hook:(hook ()) ?priority_bias
+            ()
+        with
+        | Ok sch when Random.State.int rng 4 > 0 ->
+            let cut = Random.State.int rng (Schedule.pipe_length sch + 1) in
+            ( List.filter_map
+                (fun op ->
+                  if Schedule.cstep sch op < cut then
+                    Some (op, Schedule.cstep sch op)
+                  else None)
+                (Cdfg.ops cdfg),
+              cut )
+        | _ | (exception Invalid_argument _) -> ([], 0)
+      in
+      let min_cstep =
+        match Random.State.int rng 3 with
+        | 0 -> None
+        | 1 -> Some (Array.make n cut)
+        | _ ->
+            Some
+              (Array.init n (fun _ ->
+                   if Random.State.bool rng then cut
+                   else cut + Random.State.int rng (rate + 2)))
+      in
+      ls_vs_oracle cdfg mlib cons ~rate ~hook ?priority_bias ?min_cstep
+        ~fixed ()
+      |> Option.map (fun m ->
+             Printf.sprintf "%s r%d hook %d seed %d: %s" d.Benchmarks.tag rate
+               hook_kind seed m)
+
+let prop_ready_list_oracle =
+  QCheck.Test.make ~name:"event-driven ready list = filter-based sweep"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (i, r, h, s) -> Printf.sprintf "design %d r%d hook %d seed %d" i r h s)
+       QCheck.Gen.(
+         quad (int_bound 1000) (int_range 2 5) (int_bound 3) (int_bound 1_000_000)))
+    (fun (i, rate, hook_kind, seed) ->
+      let ds = Lazy.force oracle_designs in
+      let d = List.nth ds (i mod List.length ds) in
+      match oracle_case d ~rate ~hook_kind ~seed with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
+(* Elliptic at rates 5-7, where its recursive max-time deadlines bind
+   (rate 5 misses one), under every hook and a spread of perturbations. *)
+let test_ready_list_elliptic () =
+  let d = Benchmarks.elliptic () in
+  List.iter
+    (fun rate ->
+      List.iter
+        (fun hook_kind ->
+          for seed = 0 to 11 do
+            match oracle_case d ~rate ~hook_kind ~seed with
+            | None -> ()
+            | Some m -> Alcotest.fail m
+          done)
+        [ 0; 1; 2; 3 ])
+    [ 5; 6; 7 ]
+
 let suite =
   ( "sched",
     [
@@ -357,5 +591,8 @@ let suite =
       Alcotest.test_case "golden FDS placement records" `Quick Golden_fds.check;
       Alcotest.test_case "FDS frames match the pass-based reference" `Quick
         test_fds_frames_oracle;
+      Alcotest.test_case "ready list matches the filter-based sweep (EWF)"
+        `Quick test_ready_list_elliptic;
     ]
-    @ [ QCheck_alcotest.to_alcotest prop_wheel_capacity ] )
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_wheel_capacity; prop_ready_list_oracle ] )
