@@ -627,13 +627,11 @@ let m_certify_fail = Mcs_obs.Metrics.counter "ilp.certify.fail"
 
 (* The same pin-ILP instance down the float-first path: float pivots,
    certification verdicts, wall, and agreement of the (exact, certified)
-   objective with the rational reference.  The warm registry is cleared
-   on both sides so the measurement stands alone. *)
+   objective with the rational reference. *)
 let ilp_measure_float (d : Benchmarks.design) rate =
   let cons = Benchmarks.constraints_for d ~rate in
   let m = Simple_part.Pin_ilp.model d.Benchmarks.cdfg cons ~rate ~fixed:[] in
   let p, integer = Mcs_ilp.Model.to_problem m in
-  Mcs_ilp.Warm.clear ();
   let fp0 = Mcs_obs.Metrics.count m_fpivots
   and ok0 = Mcs_obs.Metrics.count m_certify_ok
   and fail0 = Mcs_obs.Metrics.count m_certify_fail in
@@ -654,31 +652,6 @@ let ilp_measure_float (d : Benchmarks.design) rate =
     Mcs_obs.Metrics.count m_certify_fail - fail0,
     fwall,
     agree )
-
-(* Cross-grid warm starts: the pin ILP swept over ascending rates, once
-   with the registry cleared before every point (cold) and once letting
-   neighboring points chain bases through the rate-independent Warm
-   site key. *)
-let ilp_grid_rates = [ 3; 4; 5 ]
-
-let ilp_grid_measure (d : Benchmarks.design) ~chained =
-  Mcs_ilp.Warm.clear ();
-  let fp0 = Mcs_obs.Metrics.count m_fpivots in
-  Gc.full_major () (* same timing hygiene as [ilp_measure] *);
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun rate ->
-      if not chained then Mcs_ilp.Warm.clear ();
-      let cons = Benchmarks.constraints_for d ~rate in
-      ignore
-        (Simple_part.Pin_ilp.feasible ~arith:Mcs_ilp.Fsimplex.Float_certified
-           d.Benchmarks.cdfg cons ~rate ~fixed:[]))
-    ilp_grid_rates;
-  let r =
-    (Mcs_obs.Metrics.count m_fpivots - fp0, Unix.gettimeofday () -. t0)
-  in
-  Mcs_ilp.Warm.clear ();
-  r
 
 let ilp () =
   section "E-ILP - warm-started branch & bound vs cold re-solve (pin ILPs)";
@@ -737,15 +710,7 @@ let ilp () =
         "Design"; "Rate"; "Rational wall"; "Float piv"; "Float wall";
         "Speedup"; "Cert ok/fail"; "Agree";
       ]
-    hrows;
-  let d = Benchmarks.ar_general () in
-  let cold_p, cold_w = ilp_grid_measure d ~chained:false in
-  let ch_p, ch_w = ilp_grid_measure d ~chained:true in
-  Format.fprintf fmt
-    "Cross-grid warm start (ar-general pin ILP, rates %s): cold %d \
-     pivots / %.3f s, chained %d pivots / %.3f s@.@."
-    (String.concat "," (List.map string_of_int ilp_grid_rates))
-    cold_p cold_w ch_p ch_w
+    hrows
 
 (* ---- Design-space exploration through the engine ---- *)
 
@@ -774,14 +739,10 @@ let dse () =
   in
   let seq, t_seq = timed (fun () -> E_pool.run ~jobs:1 jobs) in
   let par, t_par = timed (fun () -> E_pool.run ~jobs:4 jobs) in
-  (* The answers, not the per-job solver effort: jobs share the
-     process-wide warm-start registry, so effort depends on what ran
-     before. *)
-  let answer (o : E_outcome.t) =
-    E_outcome.to_string { o with E_outcome.solver = None }
-  in
   let identical =
-    List.for_all2 (fun a b -> answer a = answer b) seq par
+    List.for_all2
+      (fun a b -> E_outcome.to_string a = E_outcome.to_string b)
+      seq par
   in
   let front = Mcs_engine.Pareto.frontier par in
   Report.table fmt
@@ -1512,21 +1473,7 @@ let json_report path =
                      ("float_wall_s", J.Float fwall);
                      ("float_agree", J.Bool fagree);
                    ]))
-           (ilp_cases ())
-         @ [
-             record "ilp-grid-warm" "ar-general" 0 (fun () ->
-                 let d = Benchmarks.ar_general () in
-                 let cold_p, cold_w = ilp_grid_measure d ~chained:false in
-                 let ch_p, ch_w = ilp_grid_measure d ~chained:true in
-                 Ok
-                   [
-                     ("grid_cold_pivots", J.Int cold_p);
-                     ("grid_chained_pivots", J.Int ch_p);
-                     ("grid_cold_wall_s", J.Float cold_w);
-                     ("grid_chained_wall_s", J.Float ch_w);
-                     ("chained_lt_cold", J.Bool (ch_p < cold_p));
-                   ]);
-           ])
+           (ilp_cases ()))
     @
     if not (want "serve") then []
     else
@@ -1712,25 +1659,7 @@ let baseline_records ~reps () =
           (if float_wall > 0.5 *. rational_wall then 1.0 else 0.0)
           true;
         add experiment "float_pivot_wall_s" float_wall false)
-      (ilp_cases ());
-    (* Cross-grid warm starts: chained grid solves must never pivot more
-       than cold ones. *)
-    let d = Benchmarks.ar_general () in
-    let cold = List.init reps (fun _ -> ilp_grid_measure d ~chained:false) in
-    let chained =
-      List.init reps (fun _ -> ilp_grid_measure d ~chained:true)
-    in
-    let cold_p = fst (List.hd cold)
-    and ch_p = fst (List.hd chained) in
-    add "ilp.grid-warm" "grid_cold_pivots" (float_of_int cold_p) true;
-    add "ilp.grid-warm" "grid_chained_pivots" (float_of_int ch_p) true;
-    add "ilp.grid-warm" "chained_exceeds_cold"
-      (if ch_p >= cold_p then 1.0 else 0.0)
-      true;
-    add "ilp.grid-warm" "grid_cold_wall_s" (median (List.map snd cold)) false;
-    add "ilp.grid-warm" "grid_chained_wall_s"
-      (median (List.map snd chained))
-      false
+      (ilp_cases ())
   end;
   (* One measured session, not [reps]: the counters are deterministic
      (every unique point solved exactly once behind the daemon's

@@ -567,9 +567,7 @@ let grid_plan ?(refine = 0) designs_s flows_s rates_s pls_s =
            if rates <> [] then rates
            else match paper_rates with Some rs -> rs | None -> [ 2; 3; 4 ]
          in
-         (* Ascending, deduplicated: neighboring grid points (rate r,
-            r+1) then run back-to-back, which is what lets a server
-            batch chain warm-start bases from one point to the next. *)
+         (* Ascending, deduplicated: the order of the [dse] report. *)
          let rates = List.sort_uniq compare rates in
          E_job.grid ~designs:[ design ] ~flows ~rates ~pipe_lengths:pls
            ~refine ())

@@ -119,18 +119,7 @@ module Ch4 = struct
 
   let solve ?budget ~arith cdfg cons ~rate ~mode ~max_buses =
     let m, vars = model cdfg cons ~rate ~mode ~max_buses in
-    (* Bus cap left out of the key: a caller sweeping max_buses downward
-       warm-starts each cap from the last one's basis (same variable
-       names). *)
-    let warm_key =
-      Printf.sprintf "ch4:%s:%dp:%do"
-        (match mode with
-        | Connection.Unidir -> "unidir"
-        | Connection.Bidir -> "bidir")
-        (Cdfg.n_partitions cdfg)
-        (List.length (Cdfg.io_ops cdfg))
-    in
-    match M.solve ?budget ~arith ~warm_key m with
+    match M.solve ?budget ~arith m with
     (* A budget-limited but integer-feasible solution is still a valid
        bus assignment — only the bus-count objective may be sub-optimal. *)
     | M.Optimal sol | M.Feasible sol ->
@@ -411,12 +400,7 @@ module Ch6 = struct
 
   let feasible ?budget ~arith cdfg cons ~rate ~max_buses ~subs =
     let m = model cdfg cons ~rate ~max_buses ~subs in
-    let warm_key =
-      Printf.sprintf "ch6:%dp:%do:%ds" (Cdfg.n_partitions cdfg)
-        (List.length (Cdfg.io_ops cdfg))
-        subs
-    in
-    match M.solve ?budget ~method_:`Branch_bound ~arith ~warm_key m with
+    match M.solve ?budget ~arith m with
     | M.Optimal _ | M.Feasible _ -> Some true
     | M.Infeasible -> Some false
     | M.Unbounded -> Some true

@@ -28,9 +28,8 @@ module Ch4 : sig
     | `Unsat
     | `Unknown
     | `Exhausted of Mcs_resilience.Budget.exhausted ]
-  (** [arith] selects the solver arithmetic; the float-certified mode
-      chains bases across the bus-cap sweep through a cap-independent
-      {!Mcs_ilp.Warm} key. *)
+  (** [arith] selects the solver arithmetic; no solve carries a
+      warm-start hint. *)
 end
 
 (** Chapter 6 (§6.1.1): sub-slot assignment with buses divided into [subs]

@@ -236,23 +236,14 @@ module Pin_ilp = struct
 
   let model cdfg cons ~rate ~fixed = fst (build cdfg cons ~rate ~fixed)
 
-  (* Rate deliberately left out of the key: the whole point is that rate
-     r's basis warm-starts rate r+1 (variables are named, so r's columns
-     are a subset of r+1's).  A collision between same-shaped designs is
-     benign — unmatched names drop out of the crash list. *)
-  let warm_key cdfg =
-    Printf.sprintf "pin-ilp:%dp:%do" (Cdfg.n_partitions cdfg)
-      (List.length (Cdfg.io_ops cdfg))
-
   type answer = Feasible of int array array | Infeasible | Undecided
 
   let m_solves = M.counter "pin_ilp.solves"
 
-  let decide ?budget ?(method_ = `Branch_bound) ~arith cdfg cons ~rate ~fixed
-      =
+  let decide ?budget ~arith ?basis cdfg cons ~rate ~fixed =
     M.incr m_solves;
     let m, x = build cdfg cons ~rate ~fixed in
-    match Model.solve ?budget ~method_ ~arith ~warm_key:(warm_key cdfg) m with
+    match Model.solve ?budget ~arith ?basis m with
     (* A feasibility model with an integer point in hand is feasible even
        when the node budget ran out before proving it optimal. *)
     | Model.Optimal s | Model.Feasible s ->
@@ -269,8 +260,8 @@ module Pin_ilp = struct
            flow's degradation ladder can take over. *)
         raise (Mcs_resilience.Budget.Out_of_budget e)
 
-  let feasible ?budget ?method_ ~arith cdfg cons ~rate ~fixed =
-    match decide ?budget ?method_ ~arith cdfg cons ~rate ~fixed with
+  let feasible ?budget ~arith cdfg cons ~rate ~fixed =
+    match decide ?budget ~arith cdfg cons ~rate ~fixed with
     | Feasible _ -> true
     | Infeasible | Undecided -> false
 end
@@ -288,6 +279,10 @@ let hook ?budget ~arith cdfg cons ~rate =
   let refuted = Array.make_matrix (Cdfg.n_ops cdfg) rate false in
   (* The last integer point found; it satisfies every committed fixing. *)
   let witness = ref None in
+  (* The root basis of the last solve, the next one's warm start: every
+     question's model is [build]'s with more fixing rows, so the column
+     layout never changes. *)
+  let basis = ref [] in
   let io_can sched op ~cstep =
     ignore sched;
     M.incr m_questions;
@@ -304,7 +299,7 @@ let hook ?budget ~arith cdfg cons ~rate =
           true
       | _ -> (
           match
-            Pin_ilp.decide ?budget ~arith cdfg cons ~rate
+            Pin_ilp.decide ?budget ~arith ~basis cdfg cons ~rate
               ~fixed:((op, k) :: !committed)
           with
           | Pin_ilp.Feasible w ->

@@ -47,23 +47,22 @@ module Pin_ilp : sig
 
   val decide :
     ?budget:Mcs_resilience.Budget.t ->
-    ?method_:[ `Branch_bound | `Gomory ] ->
     arith:Mcs_ilp.Fsimplex.arith ->
+    ?basis:int list ref ->
     Cdfg.t -> Constraints.t -> rate:int ->
     fixed:(Types.op_id * int) list -> answer
-  (** Decides the model; [`Gomory] is the dissertation's §3.3 cutting-plane
-      route, [`Branch_bound] (default) the exact reference.  A solver node
-      limit that already found an integer point counts as feasible.
-      Exhaustion of an explicit [budget] (or the [exhaust-ilp] fault)
-      raises {!Mcs_resilience.Budget.Out_of_budget} — the schedule attempt
-      is out of time and the caller's degradation ladder decides what's
-      next.  [arith] picks the solver arithmetic; the float-certified mode
-      registers its bases under a rate-independent {!Mcs_ilp.Warm} key so
-      neighboring rates chain.  Counts [pin_ilp.solves]. *)
+  (** Decides the model by branch & bound.  A solver node limit that
+      already found an integer point counts as feasible.  Exhaustion of an
+      explicit [budget] (or the [exhaust-ilp] fault) raises
+      {!Mcs_resilience.Budget.Out_of_budget} — the schedule attempt is out
+      of time and the caller's degradation ladder decides what's next.
+      [arith] picks the solver arithmetic; [basis] is {!Mcs_ilp.Model.solve}'s
+      warm-start hint, valid across the models of one
+      (design, constraints, rate) — they differ only by fixing rows.
+      Counts [pin_ilp.solves]. *)
 
   val feasible :
     ?budget:Mcs_resilience.Budget.t ->
-    ?method_:[ `Branch_bound | `Gomory ] ->
     arith:Mcs_ilp.Fsimplex.arith ->
     Cdfg.t -> Constraints.t -> rate:int ->
     fixed:(Types.op_id * int) list -> bool
@@ -96,6 +95,10 @@ val hook :
       commits without asking — drops it.  A question the witness already
       covers (x_{u,k} at least one more than committed) has a completing
       allocation, so the hook answers yes without solving.
+    Each solve is warm-started from the root basis of the hook's own
+    previous solve (the {!Pin_ilp.decide} [basis] hint), so a hook's
+    effort depends on its own questions only, never on other runs in the
+    process.
     Counters: [pin_ilp.questions] per question, [pin_ilp.refuted_hits] and
     [pin_ilp.witness_hits] per answer from the history, and
     [pin_ilp.solves] per {!Pin_ilp.decide}. *)

@@ -26,10 +26,9 @@ type check = Clean | Violations of int  (** count of error diagnostics *)
     certification counters, so a degraded-to-rational solve is visible in
     the [mcs-dse/1] report it lands in.  Counts are per job (each
     domain's counter shard), and IEEE arithmetic plus fixed pivot
-    tie-breaks pin a solve's pivot sequence; but jobs share the
-    process-global {!Mcs_ilp.Warm} registry, so warm-start chaining can
-    shift the counts with job order and batch composition.  Treat them as
-    observability, never as identity. *)
+    tie-breaks pin a solve's pivot sequence; no solver state outlives a
+    job, so the counts are the same whatever ran before the job or beside
+    it. *)
 type solver = {
   arith : string;
   certify_ok : int;

@@ -4,12 +4,11 @@
 
     Results come back in {e submission order}, regardless of completion
     order or worker count: [run ~jobs:4] and [run ~jobs:1] return the
-    same answers for deterministic flows (a qcheck property in
-    [test/suite_engine.ml], and the byte-identical-report acceptance
-    check of the [dse] CLI).  Only the per-job [solver] effort stats may
-    differ: every domain shares the process-wide warm-start registry
-    ({!Mcs_ilp.Warm}), so how many bases a job certifies depends on what
-    ran before it.
+    same outcomes for deterministic flows, per-job [solver] effort stats
+    included (a qcheck property in [test/suite_engine.ml], and the
+    byte-identical-report check of the [dse] CLI in CI): no solver state
+    is shared between jobs, so each job's outcome equals its stand-alone
+    run.
 
     With a {!Cache}, hits skip execution entirely and fresh settled
     results are stored back.  Counters in {!Mcs_obs.Metrics}:

@@ -130,7 +130,7 @@ type ('k, 's) lp = {
   add_row : R.t array -> Simplex.rel -> R.t -> unit;
   reoptimize :
     unit -> [ `Ok | `Infeasible | `Exhausted of Budget.exhausted | `Fallback ];
-  basis : int list;  (* root basis, for the cross-grid warm registry *)
+  basis : int list;  (* root basis, the next solve's warm hint *)
   pivots : M.counter;
 }
 

@@ -71,10 +71,11 @@ val solve_float :
     Every solution that escapes is exact, so results agree with {!solve}
     wherever both prove optimality.
 
-    [warm] steers the root LP toward a neighboring grid point's basis
-    (structural column indices, from the {!Warm} registry); the returned
-    list is this problem's root basis for the next neighbor ([[]] when
-    the root fell back to the exact path wholesale). *)
+    [warm] steers the root LP toward a previous solve's basis
+    (structural column indices, e.g. the hint {!Model.solve} threads
+    through a Chapter 3 hook's questions); the returned list is this
+    problem's root basis for the next solve ([[]] when the root fell back
+    to the exact path wholesale). *)
 
 val solve_cold :
   ?budget:Mcs_resilience.Budget.t ->

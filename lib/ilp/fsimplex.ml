@@ -255,8 +255,8 @@ let primal_step t =
 (* Entering choice: smallest ratio, then — the warm-start lever — a
    preferred column beats an unpreferred one, then lowest index (Bland).
    The zero-objective feasibility phase ties every eligible ratio at 0,
-   so the tie-break IS the pivot rule there: steering it toward a
-   neighboring grid point's basis columns replays that basis without a
+   so the tie-break IS the pivot rule there: steering it toward the
+   previous solve's basis columns replays that basis without a
    single extra pivot, where an explicit crash-then-repair both densifies
    the tableau and guesses the slack half of the basis wrong.  Dropping
    strict Bland order risks cycling only while a preference is set; the

@@ -72,10 +72,10 @@ val solve_lp :
 (** Solve from the start basis: a dual-simplex phase under the zero
     objective (trivially dual feasible) to reach a feasible basis, then
     the real objective and a primal phase.  [warm] lists structural
-    columns imported from a neighboring solve's basis; they are used as a
+    columns imported from a previous solve's basis; they are used as a
     {e pricing preference} — among entering candidates with tied ratios
     (every candidate, under the zero objective) a preferred column wins —
-    so the feasibility phase replays the neighbor's basis where it still
+    so the feasibility phase replays the previous basis where it still
     fits, at zero extra pivots.  (An explicit crash-then-repair was
     measurably worse: it guesses the slack half of the basis, densifies
     the tableau, and the repair re-does the saved work.)  Steered pivots
@@ -129,9 +129,9 @@ val x_float : t -> float array
     that escapes to a caller is re-derived exactly by {!certify_optimal}. *)
 
 val basic_structurals : t -> int list
-(** Structural columns of the current basis, ascending — the payload the
-    cross-grid warm-start registry stores (as variable names) and
-    {!solve_lp}'s [warm] consumes. *)
+(** Structural columns of the current basis, ascending — the warm hint
+    {!solve_lp}'s [warm] consumes on the next solve of the same column
+    layout. *)
 
 val certify_optimal : t -> Simplex.solution option
 (** Reconstruct the basic point x from the right-hand side and check it

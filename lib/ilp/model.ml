@@ -19,13 +19,12 @@ type t = {
   mutable vars : vinfo list; (* reversed *)
   mutable nv : int;
   mutable rows : row list; (* reversed *)
-  mutable nr : int;
   mutable obj : lin;
   mutable fresh : int;
 }
 
 let create () =
-  { vars = []; nv = 0; rows = []; nr = 0; obj = { terms = []; cst = 0 }; fresh = 0 }
+  { vars = []; nv = 0; rows = []; obj = { terms = []; cst = 0 }; fresh = 0 }
 
 let add_var_info t info =
   t.vars <- info :: t.vars;
@@ -37,13 +36,9 @@ let binary t name = add_var_info t { name; lo = 0; hi = Some 1; integer = true }
 let int_var t ?(lo = 0) ?hi name =
   add_var_info t { name; lo; hi; integer = true }
 
-let cont_var t ?(lo = 0) ?hi name =
-  add_var_info t { name; lo; hi; integer = false }
-
 let info t x = List.nth t.vars (t.nv - 1 - x)
 let var_name t x = (info t x).name
 let n_vars t = t.nv
-let n_constraints t = t.nr
 
 let term c x = { terms = [ (c, x) ]; cst = 0 }
 let v x = term 1 x
@@ -54,8 +49,7 @@ let sub a b = add a (scale (-1) b)
 let sum l = List.fold_left add (const 0) l
 
 let add_row t rel ?(name = "c") lhs rhs =
-  t.rows <- { lhs = sub lhs rhs; rel; name } :: t.rows;
-  t.nr <- t.nr + 1
+  t.rows <- { lhs = sub lhs rhs; rel; name } :: t.rows
 
 let add_le t ?name lhs rhs = add_row t Rle ?name lhs rhs
 let add_ge t ?name lhs rhs = add_row t Rge ?name lhs rhs
@@ -158,54 +152,25 @@ let wrap_solution t (s : Simplex.solution) =
         R.add s.x.(x) (R.of_int infos.(x).lo));
   }
 
-let solve ?budget ?(method_ = `Branch_bound) ~arith ?warm_key t =
+let solve ?budget ~arith ?basis t =
   let p, integer = to_problem t in
-  match method_ with
-  | `Branch_bound -> (
-      let of_bb = function
-        | Branch_bound.Optimal s -> Optimal (wrap_solution t s)
-        | Branch_bound.Limit_feasible s -> Feasible (wrap_solution t s)
-        | Branch_bound.Infeasible -> Infeasible
-        | Branch_bound.Unbounded -> Unbounded
-        | Branch_bound.Node_limit -> Unknown
-        | Branch_bound.Exhausted e -> Exhausted e
-      in
-      match arith with
-      | Fsimplex.Rational -> of_bb (Branch_bound.solve ?budget ~integer p)
-      | Fsimplex.Float_certified ->
-          (* The warm registry speaks variable names, the solver speaks
-             structural columns; this is where the two meet. *)
-          let infos = Array.of_list (List.rev t.vars) in
-          let warm =
-            match warm_key with
-            | None -> []
-            | Some key -> (
-                match Warm.get key with
-                | None -> []
-                | Some names ->
-                    let idx = Hashtbl.create (Array.length infos) in
-                    Array.iteri
-                      (fun i (info : vinfo) -> Hashtbl.replace idx info.name i)
-                      infos;
-                    List.filter_map
-                      (fun name -> Hashtbl.find_opt idx name)
-                      names)
-          in
-          let r, basis = Branch_bound.solve_float ?budget ~warm ~integer p in
-          (match warm_key with
-          | Some key when basis <> [] ->
-              (* Store even when the search came up infeasible: the root
-                 LP basis is what neighbors warm-start from, and a rate
-                 sweep crosses the feasibility boundary mid-grid. *)
-              Warm.put key (List.map (fun j -> infos.(j).name) basis)
-          | _ -> ());
-          of_bb r)
-  | `Gomory -> (
-      match Gomory.solve ?budget p with
-      | Gomory.Optimal s -> Optimal (wrap_solution t s)
-      | Gomory.Infeasible -> Infeasible
-      | Gomory.Unbounded -> Unbounded
-      | Gomory.Gave_up -> Unknown)
+  let of_bb = function
+    | Branch_bound.Optimal s -> Optimal (wrap_solution t s)
+    | Branch_bound.Limit_feasible s -> Feasible (wrap_solution t s)
+    | Branch_bound.Infeasible -> Infeasible
+    | Branch_bound.Unbounded -> Unbounded
+    | Branch_bound.Node_limit -> Unknown
+    | Branch_bound.Exhausted e -> Exhausted e
+  in
+  match arith with
+  | Fsimplex.Rational -> of_bb (Branch_bound.solve ?budget ~integer p)
+  | Fsimplex.Float_certified ->
+      let warm = match basis with Some b -> !b | None -> [] in
+      let r, root = Branch_bound.solve_float ?budget ~warm ~integer p in
+      (* Keep the hint even when the search came up infeasible: the next
+         question's root LP starts from the same rows. *)
+      (match basis with Some b when root <> [] -> b := root | _ -> ());
+      of_bb r
 
 let int_value sol x =
   let value = sol.values x in

@@ -18,12 +18,8 @@ val binary : t -> string -> var
 val int_var : t -> ?lo:int -> ?hi:int -> string -> var
 (** Integer variable, default bounds [0 .. +inf]. *)
 
-val cont_var : t -> ?lo:int -> ?hi:int -> string -> var
-(** Continuous variable, default bounds [0 .. +inf]. *)
-
 val var_name : t -> var -> string
 val n_vars : t -> int
-val n_constraints : t -> int
 
 (* Expressions. *)
 val term : int -> var -> lin
@@ -76,7 +72,7 @@ type outcome =
           out before optimality was proven *)
   | Infeasible
   | Unbounded
-  | Unknown  (** solver node/cut limit hit with no feasible point in hand *)
+  | Unknown  (** solver node limit hit with no feasible point in hand *)
   | Exhausted of Mcs_resilience.Budget.exhausted
       (** an explicit {!Mcs_resilience.Budget.t} ran out (or the
           [exhaust-ilp] fault is injected) before any feasible point *)
@@ -88,24 +84,22 @@ val to_problem : t -> Simplex.problem * bool array
 
 val solve :
   ?budget:Mcs_resilience.Budget.t ->
-  ?method_:[ `Branch_bound | `Gomory ] ->
   arith:Fsimplex.arith ->
-  ?warm_key:string ->
+  ?basis:int list ref ->
   t ->
   outcome
-(** Defaults to branch & bound.  With the [`Gomory] method, budget
-    exhaustion reports [Unknown] (the cutting-plane loop cannot produce a
-    partial incumbent).
+(** Branch & bound ({!Branch_bound}).  [arith] selects the solver
+    arithmetic (a flow takes it from its policy); every solution is exact
+    in either mode (the float path certifies and re-derives its answers
+    over rationals).
 
-    [arith] selects the solver arithmetic for the branch-and-bound
-    method (a flow takes it from its policy); every solution is exact in
-    either mode (the float path certifies and re-derives its answers over
-    rationals).
-    [warm_key] names this call site in the cross-grid {!Warm} registry:
-    the previous basis stored under the key steers the root LP as a warm
-    start, and this solve's root basis is stored back (float mode only —
-    keyed by {e variable names}, so neighboring grid points with the same
-    model shape chain even though their bounds differ). *)
+    [basis] is a warm-start hint owned by the caller, in structural
+    column indices: under [Float_certified] its contents steer the root
+    LP ({!Branch_bound.solve_float}'s [warm]), and it is overwritten with
+    this solve's root basis (left as it was when the root fell back to
+    the exact path).  The rational path ignores it.  A hint is only
+    valid between models with the same column layout — e.g. one model
+    family that differs only by added rows. *)
 
 val int_value : solution -> var -> int
 (** @raise Invalid_argument if the variable's value is fractional. *)

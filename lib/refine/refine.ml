@@ -50,8 +50,7 @@ type move_failure = { why : string; transient : bool }
 
 (* Re-run the whole flow with the ladder disabled ([fallback = false]) and
    the strict checker injected: either the slice affords the full-quality
-   solve now (warm-started by the Warm registry from every earlier
-   attempt), or the run fails typed and the move reports why. *)
+   solve now, or the run fails typed and the move reports why. *)
 let reclimb ~slice ~policy spec (r : F.result) =
   let policy' =
     { policy with F.budget = slice; F.fallback = false; F.refine = 0 }

@@ -16,8 +16,7 @@
     Moves, chosen by bottleneck score:
 
     - {e reclimb} (ladder evidence): re-run the whole flow with the
-      ladder disabled, warm-started by the {!Mcs_ilp.Warm} registry from
-      every earlier attempt — the degraded run's own pivots pay forward;
+      ladder disabled, under the iteration's budget slice;
     - {e resched-tail} (critical-tail / pin-pressure / FU-slack evidence,
       Ch. 3 and Ch. 4 results): freeze every operation before the tail
       window as an exact {!Mcs_sched.List_sched} replay ([~fixed]),

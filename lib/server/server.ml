@@ -218,10 +218,9 @@ let run_entry t (e : Coalesce.entry) =
         { entry = e; outcome = Some outcome; diag = Option.map P.diag_of_flow dg }
       end
 
-(* One batch entry under the supervisor's exactly-once protocol.  The
-   cross-grid warm start needs nothing here: the {!Mcs_ilp.Warm}
-   registry is process-global, so entries that run back-to-back chain
-   their bases through it. *)
+(* One batch entry under the supervisor's exactly-once protocol.  No
+   solver state passes between entries: each one's outcome is its
+   stand-alone run, whatever ran before it or beside it. *)
 let exec_entry t (entries : Coalesce.entry array) i =
   let e = entries.(i) in
   try run_entry t e

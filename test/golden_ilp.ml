@@ -3,10 +3,11 @@
    ([Branch_bound.solve_float]) and the cold reference
    ([Branch_bound.solve_cold]).  Each record holds the result (status,
    exact objective and witness point), the float search's root basis,
-   the deltas of every [bb.*], [simplex.*], [fsimplex.*], [ilp.certify.*]
-   and [ilp.warm.*] counter, and a digest of the solver event journal
-   (node opens and closes, incumbents, simplex solves, certification
-   verdicts) in emission order.  All three searches are deterministic, so
+   the deltas of every [bb.*], [simplex.*], [fsimplex.*] and
+   [ilp.certify.*] counter (plus two retired columns, always 0), and a
+   digest of the solver event journal (node opens and closes,
+   incumbents, simplex solves, certification verdicts) in emission
+   order.  All three searches are deterministic, so
    a change that claims to run the same search must reproduce every
    record exactly.
 
@@ -16,7 +17,7 @@
    relaxations are unbounded); an ill-conditioned LP that float64 cannot
    tell from a feasible one; an unbounded ILP; and the pin ILPs of the paper
    benchmarks (ar-general r2-5, elliptic r4-6, ar-simple r2-4) through
-   both searches and through the warm-chained [Pin_ilp.feasible] in both
+   both searches and through a rate sweep of [Pin_ilp.feasible] in both
    arithmetic modes.
 
    The committed records live in [golden_ilp.txt]; regenerate them with
@@ -61,6 +62,9 @@ let counters =
       "fsimplex.stuck";
       "ilp.certify.ok";
       "ilp.certify.fail";
+      (* Retired: the counters of a process-wide basis registry that no
+         longer exists.  They read 0; kept so every record's column
+         layout stays as committed. *)
       "ilp.warm.hits";
       "ilp.warm.misses";
     ]
@@ -236,29 +240,26 @@ let pin_case d name rate =
   { key = Printf.sprintf "pin %s r%d" name rate; problem; integer;
     limits = no_limits }
 
-(* One warm-chained rate sweep of [Pin_ilp.feasible] per arithmetic, from
-   an empty registry. *)
+(* One rate sweep of [Pin_ilp.feasible] per arithmetic, in one process.
+   No solve may carry state over to the next: {!check} also asserts that
+   each sweep record's effort (counter deltas and journal) equals that of
+   the same rate's stand-alone [pin] record. *)
 let chain_records d name rates =
   List.concat_map
     (fun arith ->
-      Warm.clear ();
-      let records =
-        List.map
-          (fun rate ->
-            let cons = Mcs_cdfg.Benchmarks.constraints_for d ~rate in
-            let ok, deltas, journal =
-              observe (fun () ->
-                  Mcs_core.Simple_part.Pin_ilp.feasible ~arith
-                    d.Mcs_cdfg.Benchmarks.cdfg cons ~rate ~fixed:[])
-            in
-            ( Printf.sprintf "chain %s %s r%d" name
-                (Fsimplex.arith_to_string arith)
-                rate,
-              Printf.sprintf "%b | %s | %s" ok deltas journal ))
-          rates
-      in
-      Warm.clear ();
-      records)
+      List.map
+        (fun rate ->
+          let cons = Mcs_cdfg.Benchmarks.constraints_for d ~rate in
+          let ok, deltas, journal =
+            observe (fun () ->
+                Mcs_core.Simple_part.Pin_ilp.feasible ~arith
+                  d.Mcs_cdfg.Benchmarks.cdfg cons ~rate ~fixed:[])
+          in
+          ( Printf.sprintf "chain %s %s r%d" name
+              (Fsimplex.arith_to_string arith)
+              rate,
+            Printf.sprintf "%b | %s | %s" ok deltas journal ))
+        rates)
     [ Fsimplex.Float_certified; Fsimplex.Rational ]
 
 let records () =
@@ -295,6 +296,25 @@ let load path =
 let check () =
   let golden = load "golden_ilp.txt" in
   let got = records () in
+  let effort v =
+    match List.rev (String.split_on_char '|' v) with
+    | journal :: deltas :: _ -> (deltas, journal)
+    | _ -> failwith ("Golden_ilp: malformed record " ^ v)
+  in
+  List.iter
+    (fun (k, v) ->
+      match String.split_on_char ' ' k with
+      | [ "chain"; name; arith; r ] ->
+          let solver = if arith = "rational" then "rational" else "float" in
+          let alone =
+            List.assoc (String.concat " " [ "pin"; name; r; solver ]) got
+          in
+          if effort v <> effort alone then
+            Alcotest.failf
+              "%s depends on the sweep before it:\n  %s\n  alone: %s" k v
+              alone
+      | _ -> ())
+    got;
   let table = Hashtbl.of_seq (List.to_seq golden) in
   let ms =
     List.filter_map

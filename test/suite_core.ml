@@ -86,11 +86,18 @@ let test_pin_ilp_gomory_agrees () =
   let some_fix = [ (List.hd (Cdfg.io_inputs_of_partition cdfg 3), 1) ] in
   List.iter
     (fun fixed ->
+      let gomory =
+        match
+          Mcs_ilp.Gomory.solve
+            (fst
+               (Mcs_ilp.Model.to_problem
+                  (Simple_part.Pin_ilp.model cdfg cons ~rate:2 ~fixed)))
+        with
+        | Mcs_ilp.Gomory.Optimal _ -> true
+        | _ -> false
+      in
       checkb "methods agree" true
-        (Simple_part.Pin_ilp.feasible ~arith ~method_:`Gomory cdfg cons
-           ~rate:2 ~fixed
-        = Simple_part.Pin_ilp.feasible ~arith ~method_:`Branch_bound cdfg cons
-            ~rate:2 ~fixed))
+        (gomory = Simple_part.Pin_ilp.feasible ~arith cdfg cons ~rate:2 ~fixed))
     [ []; some_fix ]
 
 (* --- Chapter 3 flow --- *)

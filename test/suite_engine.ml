@@ -214,16 +214,21 @@ let test_pool_retry_after_stall () =
   | _ -> Alcotest.fail "expected one result"
 
 (* Real flows on random designs: one worker and four workers must agree
-   exactly (result lists, not just sets). *)
+   exactly (whole outcomes, [solver] stats included, in order) — even
+   for the Ch. 3 jobs of one design at neighboring rates, which run
+   concurrently under four workers. *)
 let prop_pool_worker_count_invariant =
   let gen =
     QCheck.Gen.map
       (fun seed ->
-        [
-          Job.make
-            ~design:(Job.Random_simple
-                       { seed; n_partitions = 2; ops_per_chip = 3 })
-            ~flow:Job.Ch3 ~rate:3 ();
+        List.map
+          (fun rate ->
+            Job.make
+              ~design:(Job.Random_simple
+                         { seed; n_partitions = 2; ops_per_chip = 3 })
+              ~flow:Job.Ch3 ~rate ())
+          [ 2; 3; 4 ]
+        @ [
           Job.make
             ~design:(Job.Random { seed; n_partitions = 2; n_ops = 10 })
             ~flow:Job.Ch4_unidir ~rate:3 ();
@@ -236,12 +241,7 @@ let prop_pool_worker_count_invariant =
         ])
       (QCheck.Gen.int_range 0 1000)
   in
-  (* The answers, not the effort: the per-job [solver] stats depend on
-     the process-wide warm-start registry, which the first run fills. *)
-  let answer (o : Outcome.t) =
-    Outcome.to_string { o with Outcome.solver = None }
-  in
-  QCheck.Test.make ~name:"Pool.run ~jobs:1 == Pool.run ~jobs:4" ~count:4
+  QCheck.Test.make ~name:"Pool.run ~jobs:1 == Pool.run ~jobs:4" ~count:40
     (QCheck.make
        ~print:(fun js -> String.concat "; " (List.map Job.to_string js))
        gen)
@@ -249,7 +249,22 @@ let prop_pool_worker_count_invariant =
       let seq = Pool.run ~jobs:1 jobs in
       let par = Pool.run ~jobs:4 jobs in
       List.length seq = List.length par
-      && List.for_all2 (fun a b -> answer a = answer b) seq par)
+      && List.for_all2
+           (fun a b -> Outcome.to_string a = Outcome.to_string b)
+           seq par)
+
+(* A Ch. 3 job's effort is its own: run alone, and again after its rate
+   neighbors on the same design in the same process, it gives the same
+   whole outcome, [solver] stats included. *)
+let test_ch3_outcome_independent_of_neighbors () =
+  let design =
+    Job.Random_simple { seed = 5; n_partitions = 3; ops_per_chip = 4 }
+  in
+  let ch3 rate = Job.make ~design ~flow:Job.Ch3 ~rate () in
+  let alone = Outcome.to_string (Pool.exec (ch3 3)) in
+  List.iter (fun r -> ignore (Pool.exec (ch3 r))) [ 2; 4 ];
+  checks "same outcome after its neighbors" alone
+    (Outcome.to_string (Pool.exec (ch3 3)))
 
 (* --- Cache --- *)
 
@@ -471,6 +486,8 @@ let suite =
       Alcotest.test_case "pool per-job timeout" `Quick test_pool_timeout;
       Alcotest.test_case "pool retries a stalled job once" `Quick
         test_pool_retry_after_stall;
+      Alcotest.test_case "Ch. 3 outcome independent of rate neighbors" `Quick
+        test_ch3_outcome_independent_of_neighbors;
       Alcotest.test_case "solver stats stay per domain" `Quick
         test_solver_stats_per_domain;
       Alcotest.test_case "histograms exact across domains" `Quick

@@ -352,7 +352,6 @@ let test_pivot_budget () =
 
 let m_certify_fail = Obs.counter "ilp.certify.fail"
 let m_arith_fallbacks = Obs.counter "bb.arith_fallbacks"
-let m_fpivots = Obs.counter "fsimplex.pivots"
 
 let prop_float_matches_rational =
   QCheck.Test.make ~name:"float-certified BB matches rational BB" ~count:150
@@ -399,7 +398,6 @@ let test_arith_modes_checker_clean () =
   let d = Mcs_cdfg.Benchmarks.ar_simple () in
   let certified = Obs.counter "ilp.certify.ok" in
   let run arith =
-    Warm.clear ();
     let ok0 = Obs.count certified in
     let spec = F.spec_of_design ~flow:F.Ch3 d ~rate:2 in
     match
@@ -617,37 +615,6 @@ let test_float_pivots_budgeted () =
   | Branch_bound.Limit_feasible _ -> ()
   | _ -> Alcotest.fail "a 5-pivot budget must exhaust the float path"
 
-(* Cross-grid warm starts: the pin ILP at neighboring rates shares a
-   rate-independent Warm site key, so solving rate 3 then rate 4 in one
-   chain must pivot less in total than solving each cold. *)
-let test_grid_warm_chain () =
-  let d = Mcs_cdfg.Benchmarks.ar_general () in
-  let solve rate =
-    let cons = Mcs_cdfg.Benchmarks.constraints_for d ~rate in
-    ignore
-      (Mcs_core.Simple_part.Pin_ilp.feasible ~arith:Fsimplex.Float_certified
-         d.Mcs_cdfg.Benchmarks.cdfg cons ~rate ~fixed:[])
-  in
-  let pivots f =
-    let before = Obs.count m_fpivots in
-    f ();
-    Obs.count m_fpivots - before
-  in
-  let cold =
-    pivots (fun () ->
-        List.iter
-          (fun r ->
-            Warm.clear ();
-            solve r)
-          [ 3; 4 ])
-  in
-  Warm.clear ();
-  let chained = pivots (fun () -> List.iter solve [ 3; 4 ]) in
-  Warm.clear ();
-  checkb
-    (Printf.sprintf "chained pivots %d < cold pivots %d" chained cold)
-    true (chained < cold)
-
 (* --- Model builder --- *)
 
 let test_model_knapsack () =
@@ -739,8 +706,8 @@ let test_model_gomory_method () =
   let x = Model.int_var m ~hi:10 "x" and y = Model.int_var m ~hi:10 "y" in
   Model.add_le m (Model.add (Model.term 2 x) (Model.term 2 y)) (Model.const 7);
   Model.set_objective m (Model.add (Model.v x) (Model.v y));
-  match Model.solve ~arith ~method_:`Gomory m with
-  | Model.Optimal s -> checkb "value 3" true (R.equal s.Model.objective (R.of_int 3))
+  match Gomory.solve (fst (Model.to_problem m)) with
+  | Gomory.Optimal s -> checkb "value 3" true (R.equal s.Simplex.value (R.of_int 3))
   | _ -> Alcotest.fail "gomory method failed"
 
 let test_model_pp_lp () =
@@ -787,8 +754,6 @@ let suite =
       Alcotest.test_case "float root unbounded falls back" `Quick
         test_float_root_unbounded_falls_back;
       Alcotest.test_case "golden B&B records" `Quick test_golden_ilp;
-      Alcotest.test_case "cross-grid warm chain pivots less" `Quick
-        test_grid_warm_chain;
       Alcotest.test_case "model knapsack" `Quick test_model_knapsack;
       Alcotest.test_case "model negative lower bounds" `Quick test_model_negative_lower_bound;
       Alcotest.test_case "model max of binaries" `Quick test_model_max_bin;

@@ -288,14 +288,11 @@ let test_coalesce_bit_identical () =
       | Some oa, Some ob ->
           checks "coalesced replies bit-identical" (Outcome.to_string oa)
             (Outcome.to_string ob);
-          (* The solver-effort stats depend on the warm-start registry
-             contents at solve time (a steered search certifies fewer
-             bases), and the solo run here sits in a different warm
-             context than the daemon's batch — so compare the result,
-             not the effort. *)
-          let result o = Outcome.to_string { o with Outcome.solver = None } in
-          checks "and identical to a solo run" (result (Pool.exec j))
-            (result oa)
+          (* Solver effort stats included: no solver state passes
+             between the daemon's batch and this solo run. *)
+          checks "and identical to a solo run"
+            (Outcome.to_string (Pool.exec j))
+            (Outcome.to_string oa)
       | _ -> Alcotest.fail "expected outcomes on both replies");
       Client.close c
   | Ok rs -> Alcotest.failf "expected two replies, got %d" (List.length rs)
