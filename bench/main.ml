@@ -1,8 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the
-   dissertation's evaluation (see DESIGN.md's per-experiment index) and
-   times the core algorithms with Bechamel.
+   dissertation's evaluation (see DESIGN.md's per-experiment index).
 
-   Usage: main.exe [--skip-bechamel] [--only PREFIX] [--json FILE]
+   Usage: main.exe [--only PREFIX] [--json FILE]
                    [--baseline FILE] [--compare FILE] [--reps N]
                    [--noise PCT] [--trace-out FILE]
    e.g. --only ch4 runs only the Chapter 4 experiments; --json FILE skips
@@ -24,7 +23,6 @@ module Sched = Mcs_sched.Schedule
 let fmt = Format.std_formatter
 let section title = Format.fprintf fmt "@.==== %s ====@.@." title
 let only = ref ""
-let skip_bechamel = ref false
 
 let want tag =
   !only = ""
@@ -53,8 +51,8 @@ module Diag = Mcs_flow.Diag
 (* Every full-flow experiment goes through the unified checked pipeline:
    one entry point, typed diagnostics, and (with MCS_CHECK=warn/strict)
    the static analyzer auditing each regenerated table.  The direct
-   algorithm calls further down (most Bechamel tests, the ILP study)
-   deliberately bypass it: they time one algorithm, not a pipeline. *)
+   algorithm calls further down (the ILP study) deliberately bypass it:
+   they time one algorithm, not a pipeline. *)
 let run_flow ?pipe_length flow d ~rate ~mode =
   attempt (fun () ->
       match
@@ -421,7 +419,7 @@ let ch7 () =
   Format.fprintf fmt "@.";
   let d = Benchmarks.cond_demo () in
   let groups =
-    Extensions.Cond_share.run d.cdfg d.mlib ~rate:2 ~pipe_length:8 ()
+    Extensions.Cond_share.run d.cdfg d.mlib ~rate:2 ~pipe_length:8
   in
   Report.table fmt
     ~title:
@@ -1284,94 +1282,6 @@ let refine () =
     (n.obj_refined = n.obj_exact)
     (n.obj_refined < n.obj_degraded)
 
-(* ---- Bechamel timing ---- *)
-
-let bechamel () =
-  section "Timing (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let ar = Benchmarks.ar_general () in
-  let ewf = Benchmarks.elliptic () in
-  let simple = Benchmarks.ar_simple () in
-  let cons3 = Benchmarks.constraints_for ar ~rate:3 in
-  let cons7 = Benchmarks.constraints_for ewf ~rate:7 in
-  let cons_s = Benchmarks.constraints_for simple ~rate:2 in
-  let tests =
-    [
-      Test.make ~name:"ch4-heuristic-search(ar,rate3)"
-        (Staged.stage (fun () ->
-             ignore
-               (Mcs_connect.Heuristic.search ar.cdfg cons3 ~rate:3
-                  ~mode:C.Unidir ())));
-      Test.make ~name:"ch3-pin-ilp-feasibility(ar-simple)"
-        (Staged.stage (fun () ->
-             ignore
-               (Simple_part.Pin_ilp.feasible ~arith:F.default_policy.arith
-                  simple.cdfg cons_s ~rate:2 ~fixed:[])));
-      Test.make ~name:"ch5-fds(ewf,rate6,pl25)"
-        (Staged.stage (fun () ->
-             ignore
-               (Mcs_sched.Fds.run ewf.cdfg ewf.mlib ~rate:6 ~pipe_length:25 ())));
-      Test.make ~name:"list-sched(ewf,rate7)"
-        (Staged.stage (fun () ->
-             ignore
-               (Mcs_sched.List_sched.run ewf.cdfg ewf.mlib cons7 ~rate:7 ())));
-      Test.make ~name:"hungarian(40x40)"
-        (Staged.stage (fun () ->
-             let n = 40 in
-             let cost =
-               Array.init n (fun i ->
-                   Array.init n (fun j -> ((i * 7919) + (j * 104729)) mod 1000))
-             in
-             ignore (Mcs_graph.Hungarian.assignment cost)));
-      Test.make ~name:"ch5-clique-partitioning(ar,rate4,pl9)"
-        (Staged.stage (fun () ->
-             ignore
-               (run_flow F.Ch5 ar ~rate:4 ~pipe_length:9 ~mode:C.Bidir)));
-      Test.make ~name:"simplex(20x40,rational)"
-        (Staged.stage (fun () ->
-             let module R = Mcs_util.Ratio in
-             let n = 40 and m = 20 in
-             let rows =
-               List.init m (fun i ->
-                   ( Array.init n (fun j -> R.of_int (((i + j) mod 7) + 1)),
-                     Mcs_ilp.Simplex.Le,
-                     R.of_int 100 ))
-             in
-             let p =
-               {
-                 Mcs_ilp.Simplex.n_vars = n;
-                 objective = Array.init n (fun j -> R.of_int ((j mod 5) + 1));
-                 rows;
-               }
-             in
-             ignore (Mcs_ilp.Simplex.solve p)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"mcs" tests in
-  let cfg = Benchmark.cfg ~limit:60 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      let time =
-        match Analyze.OLS.estimates est with
-        | Some (t :: _) ->
-            if t > 1e9 then Printf.sprintf "%.2f s" (t /. 1e9)
-            else if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
-            else if t > 1e3 then Printf.sprintf "%.2f us" (t /. 1e3)
-            else Printf.sprintf "%.0f ns" t
-        | _ -> "n/a"
-      in
-      rows := [ name; time ] :: !rows)
-    results;
-  Report.table fmt ~title:"Estimated execution time per run"
-    ~header:[ "Algorithm"; "time" ]
-    (List.sort compare !rows)
-
 (* ---- Machine-readable benchmark mode ---- *)
 
 module J = Mcs_obs.Report_json
@@ -1786,8 +1696,7 @@ let () =
       | Some _ | None -> ());
       (match Option.bind (arg_of "--noise") float_of_string_opt with
       | Some p when p > 0. -> noise := p /. 100.
-      | Some _ | None -> ());
-      if a = "--skip-bechamel" then skip_bechamel := true)
+      | Some _ | None -> ()))
     args;
   (match !trace_out with
   | Some _ ->
@@ -1817,7 +1726,6 @@ let () =
       if want "serve" then serve ();
       if want "chaos" then chaos ();
       if want "refine" then refine ();
-      if not !skip_bechamel then bechamel ();
       Format.fprintf fmt "@.All experiments completed.@.";
       finish 0
   | _ ->

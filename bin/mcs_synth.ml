@@ -146,27 +146,6 @@ let fields_of (r : F.result) ~static =
     | steps -> [ ("degraded", J.Arr (List.map (fun m -> J.Str m) steps)) ])
   @ per_flow
 
-(* Under --metrics, replay the final schedule through the Chapter 3
-   dedicated-port pin-allocation ILP with every I/O operation fixed at its
-   scheduled control-step group.  The verdict compares the flow's shared
-   buses against the dedicated-port model at the same schedule, and the
-   solve drives the simplex and branch-and-bound counters for every flow. *)
-let ilp_cross_check ~arith d cons ~rate sched =
-  let cdfg = d.Benchmarks.cdfg in
-  let fixed =
-    List.map
-      (fun op -> (op, Mcs_sched.Schedule.group sched op))
-      (Cdfg.io_ops cdfg)
-  in
-  match Simple_part.Pin_ilp.feasible ~arith cdfg cons ~rate ~fixed with
-  | ok ->
-      Format.fprintf fmt
-        "@.pin-allocation ILP cross-check (dedicated ports): %s@."
-        (if ok then "feasible" else "infeasible")
-  | exception e ->
-      Format.fprintf fmt "@.pin-allocation ILP cross-check: skipped (%s)@."
-        (Printexc.to_string e)
-
 let level_label = function
   | Pass.Off -> "off"
   | Pass.Warn -> "warn"
@@ -348,7 +327,6 @@ let synth design flow rate pipe_length ports check strict deadline_ms
                run it bounds. *)
             let policy =
               {
-                F.default_policy with
                 F.budget =
                   (match deadline_ms with
                   | Some ms when ms > 0. ->
@@ -418,12 +396,8 @@ let synth design flow rate pipe_length ports check strict deadline_ms
                   Format.eprintf "synthesis failed: %s@." (Diag.message dg);
                   (1, diag_fields [ dg ])
             in
-            if metrics then begin
-              (match outcome with
-              | Ok r -> ilp_cross_check ~arith d spec.F.cons ~rate r.F.schedule
-              | Error _ -> ());
-              Format.fprintf fmt "@.%a" Mcs_obs.Metrics.pp_summary ()
-            end;
+            if metrics then
+              Format.fprintf fmt "@.%a" Mcs_obs.Metrics.pp_summary ();
             arith_exit_line arith;
             let json_code =
               match json_file with
@@ -952,9 +926,7 @@ let metrics =
   Arg.(value & flag
        & info [ "metrics" ]
            ~doc:"Print solver counters (simplex pivots, branch-and-bound \
-                 nodes, search backtracks, ...) after synthesis, and run the \
-                 dedicated-port pin-allocation ILP cross-check on the final \
-                 schedule.")
+                 nodes, search backtracks, ...) after synthesis.")
 
 let json_file =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"

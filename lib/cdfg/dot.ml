@@ -30,10 +30,3 @@ let pp ppf cdfg =
           (node_id e_src) (node_id e_dst) degree)
     (Cdfg.edges cdfg);
   Format.fprintf ppf "}@."
-
-let to_file cdfg path =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  pp ppf cdfg;
-  Format.pp_print_flush ppf ();
-  close_out oc

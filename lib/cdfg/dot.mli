@@ -4,6 +4,3 @@
     with their degree. *)
 
 val pp : Format.formatter -> Cdfg.t -> unit
-
-val to_file : Cdfg.t -> string -> unit
-(** Writes [pp] output to the given path. *)

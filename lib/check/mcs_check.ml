@@ -335,7 +335,6 @@ let artifact_checker ~flow cdfg _mlib cons ~phase (a : Artifact.t) =
   | Artifact.Connection c ->
       connection_diags ~enforce_budgets:(not derives_resources) cdfg cons
         ~phase c
-  | Artifact.Pins used -> budget_diags cons ~phase used
 
 let check_result cdfg _mlib cons (r : F.result) =
   let phase = F.name_to_string r.F.flow ^ ".result" in
@@ -422,9 +421,9 @@ let check_result cdfg _mlib cons (r : F.result) =
   in
   sched @ structure @ occupancy @ pins @ fus @ rate @ degraded
 
-let run ?level ?dump ?policy name (spec : F.spec) =
+let run ?level ?policy name (spec : F.spec) =
   let level = match level with Some l -> l | None -> level_of_env () in
   F.run ~level
     ~checker:(artifact_checker ~flow:name spec.F.cdfg spec.F.mlib spec.F.cons)
     ~check_result:(check_result spec.F.cdfg spec.F.mlib spec.F.cons)
-    ?dump ?policy name spec
+    ?policy name spec

@@ -94,7 +94,6 @@ val check_result :
 
 val run :
   ?level:Mcs_flow.Pass.level ->
-  ?dump:(phase:string -> Mcs_flow.Artifact.t -> unit) ->
   ?policy:Mcs_flow.Flow.policy ->
   Mcs_flow.Flow.name ->
   Mcs_flow.Flow.spec ->

@@ -23,8 +23,11 @@ let error_message = function
 
 exception Budget_exhausted
 
+(* Candidate buses explored per level: the two best (§4.1.2). *)
+let branching = 2
+
 let search ?(budget = Budget.unlimited) cdfg cons ~rate ~mode ?slot_cap
-    ?(branching = 2) ?(max_nodes = 200_000) () =
+    ?(max_nodes = 200_000) () =
   let slot_cap =
     match slot_cap with
     | None -> rate

@@ -3,7 +3,7 @@
     assignment of every I/O operation to a bus — before scheduling.
 
     I/O operations are assigned in descending bit-width order; at each level
-    only the [branching] best candidate buses (by the gain
+    only the two best candidate buses (by the gain
     [g = 10000 g1 + 100 g2 + g3], favouring port reuse weighted by pin
     scarcity, same-value sharing, and slot balance) with pairwise distinct
     topologies are explored, plus a fresh bus.
@@ -47,15 +47,14 @@ val search :
   rate:int ->
   mode:Connection.mode ->
   ?slot_cap:int ->
-  ?branching:int ->
   ?max_nodes:int ->
   unit ->
   (result, error) Stdlib.result
-(** [branching] defaults to 2, [max_nodes] (search-tree node budget) to
-    200_000.  [slot_cap] (default [rate]) caps the values tentatively packed
-    onto one bus; lowering it below the initiation rate forces a
-    wider-bandwidth connection with more buses, serving the role of the
-    paper's bus-count-maximizing ILP objective (4.6) when the packed-tight
+(** [max_nodes] (search-tree node budget) defaults to 200_000.
+    [slot_cap] (default [rate]) caps the values tentatively packed onto one
+    bus; lowering it below the initiation rate forces a wider-bandwidth
+    connection with more buses, serving the role of the paper's
+    bus-count-maximizing ILP objective (4.6) when the packed-tight
     connection leaves the scheduler no slack. *)
 
 val pins_used_by_partition : result -> int list

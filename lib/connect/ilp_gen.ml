@@ -29,7 +29,7 @@ module Ch4 = struct
       match Hashtbl.find_opt port (tag, i, h) with
       | Some v -> v
       | None ->
-          let v = M.int_var m ~lo:0 (Printf.sprintf "%s_%d_%d" tag i h) in
+          let v = M.int_var m (Printf.sprintf "%s_%d_%d" tag i h) in
           Hashtbl.replace port (tag, i, h) v;
           v
     in
@@ -167,7 +167,7 @@ module Ch6 = struct
                       (M.binary m
                          (Printf.sprintf "x_%s_%d_%d_%d" (Cdfg.name cdfg w) h l s));
                     Hashtbl.replace zb (w, h, l, s)
-                      (M.int_var m ~lo:0 ~hi:(Cdfg.io_width cdfg w)
+                      (M.int_var m ~hi:(Cdfg.io_width cdfg w)
                          (Printf.sprintf "z_%s_%d_%d_%d" (Cdfg.name cdfg w) h l s)))
                   subsl)
               slots)
@@ -180,7 +180,7 @@ module Ch6 = struct
         (fun h ->
           List.map
             (fun s ->
-              ((h, s), M.int_var m ~lo:0 (Printf.sprintf "bw_%d_%d" h s)))
+              ((h, s), M.int_var m (Printf.sprintf "bw_%d_%d" h s)))
             subsl)
         buses
     in
@@ -189,7 +189,7 @@ module Ch6 = struct
       List.concat_map
         (fun i ->
           List.map
-            (fun h -> ((i, h), M.int_var m ~lo:0 (Printf.sprintf "r_%d_%d" i h)))
+            (fun h -> ((i, h), M.int_var m (Printf.sprintf "r_%d_%d" i h)))
             buses)
         parts
     in
@@ -287,7 +287,7 @@ module Ch6 = struct
                 List.iter
                   (fun l ->
                     let ov =
-                      M.int_var m ~lo:0 ~hi:2
+                      M.int_var m ~hi:2
                         (Printf.sprintf "ov_%s_%s_%d_%d" (Cdfg.name cdfg w)
                            (Cdfg.name cdfg w') h l)
                     in
@@ -367,7 +367,7 @@ module Ch6 = struct
               List.iter
                 (fun s ->
                   let a =
-                    M.int_var m ~lo:0 (Printf.sprintf "a_%d_%d_%d" i h s)
+                    M.int_var m (Printf.sprintf "a_%d_%d_%d" i h s)
                   in
                   List.iter
                     (fun w ->

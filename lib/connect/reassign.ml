@@ -262,8 +262,6 @@ let hook t =
   in
   { Mcs_sched.List_sched.io_can; io_commit }
 
-let committed_bus t op = Hashtbl.find_opt t.committed op
-
 let final_assignment t =
   List.filter_map
     (fun op ->

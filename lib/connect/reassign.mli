@@ -28,9 +28,6 @@ val create :
 
 val hook : t -> Mcs_sched.List_sched.io_hook
 
-val committed_bus : t -> Types.op_id -> int option
-(** Bus the (scheduled) operation finally used. *)
-
 val final_assignment : t -> (Types.op_id * int) list
 (** Scheduled operations with their final buses, in operation order. *)
 

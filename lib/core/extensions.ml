@@ -101,8 +101,12 @@ module Cond_share = struct
       members;
     List.sort compare (Hashtbl.fold (fun p w acc -> (p, w) :: acc) tbl [])
 
-  let run cdfg mlib ~rate ~pipe_length ?(penalty_factor = 1.0)
-      ?(exclusion_factor = 0.5) () =
+  (* §7.2's [pf] weight on lost scheduling freedom and [f] weight on
+     excluded future merges. *)
+  let penalty_factor = 1.0
+  let exclusion_factor = 0.5
+
+  let run cdfg mlib ~rate ~pipe_length =
     let fixed = Array.make (Cdfg.n_ops cdfg) None in
     match Mcs_sched.Fds.frames cdfg mlib ~rate ~pipe_length ~fixed with
     | None -> []

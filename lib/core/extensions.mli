@@ -42,13 +42,11 @@ module Cond_share : sig
   }
 
   val run :
-    Cdfg.t -> Module_lib.t -> rate:int -> pipe_length:int ->
-    ?penalty_factor:float -> ?exclusion_factor:float -> unit ->
-    group list
+    Cdfg.t -> Module_lib.t -> rate:int -> pipe_length:int -> group list
   (** Groups of conditional I/O operations to be scheduled in a common
-      control step sharing one communication slot.  [penalty_factor] is the
-      [pf] weight on lost scheduling freedom, [exclusion_factor] the [f]
-      weight on excluded future merges (both per §7.2). *)
+      control step sharing one communication slot.  Merges are weighed
+      with §7.2's [pf = 1.0] on lost scheduling freedom and [f = 0.5] on
+      excluded future merges. *)
 
   val pins_saved : Cdfg.t -> group list -> int
   (** Total pins saved versus giving every member its own connection. *)

@@ -99,7 +99,7 @@ module Pin_ilp = struct
           ( g,
             List.map
               (fun k ->
-                Model.int_var m ~lo:0
+                Model.int_var m
                   ~hi:(List.length g.m_ops)
                   (Printf.sprintf "x_%d_%d_w%d_k%d" g.m_src g.m_dst g.m_width k))
               groups ))
@@ -132,7 +132,7 @@ module Pin_ilp = struct
       List.map
         (fun j ->
           ( j,
-            Model.int_var m ~lo:0
+            Model.int_var m
               ~hi:(Constraints.pins cons j)
               (Printf.sprintf "o_%d" j) ))
         (Mcs_util.Listx.range 0 (n + 1))

@@ -1,5 +1,4 @@
 open Mcs_cdfg
-module J = Mcs_obs.Report_json
 module SP = Mcs_core.Simple_part
 module SB = Mcs_core.Subbus
 
@@ -18,109 +17,4 @@ type connection =
       allocation : ((int * SB.sub * int) * (string * int * Types.op_id list)) list;
     }
 
-type t =
-  | Schedule of Mcs_sched.Schedule.t
-  | Connection of connection
-  | Pins of (int * int) list
-
-let kind = function
-  | Schedule _ -> "schedule"
-  | Connection _ -> "connection"
-  | Pins _ -> "pins"
-
-let slice_to_string = function
-  | SB.Lo -> "lo"
-  | SB.Hi -> "hi"
-  | SB.Whole -> "whole"
-
-let pins_json pins =
-  J.Arr
-    (List.map
-       (fun (p, n) -> J.Obj [ ("partition", J.Int p); ("pins", J.Int n) ])
-       pins)
-
-let to_json cdfg = function
-  | Schedule s ->
-      J.Obj
-        [
-          ("kind", J.Str "schedule");
-          ("rate", J.Int (Mcs_sched.Schedule.rate s));
-          ("pipe_length", J.Int (Mcs_sched.Schedule.pipe_length s));
-          ( "ops",
-            J.Arr
-              (List.filter_map
-                 (fun op ->
-                   if Mcs_sched.Schedule.is_scheduled s op then
-                     Some
-                       (J.Obj
-                          [
-                            ("op", J.Str (Cdfg.name cdfg op));
-                            ("cstep", J.Int (Mcs_sched.Schedule.cstep s op));
-                          ])
-                   else None)
-                 (Cdfg.ops cdfg)) );
-        ]
-  | Pins pins -> J.Obj [ ("kind", J.Str "pins"); ("pins", pins_json pins) ]
-  | Connection (Bundles links) ->
-      J.Obj
-        [
-          ("kind", J.Str "bundles");
-          ( "bundles",
-            J.Arr
-              (List.map
-                 (fun (b : SP.Theorem31.bundle) ->
-                   J.Obj
-                     [
-                       ( "owner",
-                         J.Str
-                           (match b.owner with
-                           | `Out p -> Printf.sprintf "out:%d" p
-                           | `In p -> Printf.sprintf "in:%d" p) );
-                       ( "counterparts",
-                         J.Arr (List.map (fun p -> J.Int p) b.counterparts) );
-                       ("wires", J.Int b.wires);
-                     ])
-                 links) );
-        ]
-  | Connection (Buses { conn; assignment; _ }) ->
-      J.Obj
-        [
-          ("kind", J.Str "buses");
-          ("n_buses", J.Int (Mcs_connect.Connection.n_buses conn));
-          ( "assignment",
-            J.Arr
-              (List.map
-                 (fun (op, bus) ->
-                   J.Obj
-                     [ ("op", J.Str (Cdfg.name cdfg op)); ("bus", J.Int bus) ])
-                 assignment) );
-        ]
-  | Connection (Subbuses { buses; assignment; _ }) ->
-      J.Obj
-        [
-          ("kind", J.Str "subbuses");
-          ( "buses",
-            J.Arr
-              (List.map
-                 (fun (rb : SB.real_bus) ->
-                   J.Obj
-                     [
-                       ("width", J.Int rb.width);
-                       ( "split_at",
-                         match rb.split_at with
-                         | Some w -> J.Int w
-                         | None -> J.Null );
-                     ])
-                 buses) );
-          ( "assignment",
-            J.Arr
-              (List.map
-                 (fun (op, (bus, slice)) ->
-                   J.Obj
-                     [
-                       ("op", J.Str (Cdfg.name cdfg op));
-                       ("bus", J.Int bus);
-                       ("slice", J.Str (slice_to_string slice));
-                     ])
-                 assignment) );
-        ]
+type t = Schedule of Mcs_sched.Schedule.t | Connection of connection

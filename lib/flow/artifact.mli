@@ -2,8 +2,7 @@
 
     The pass manager ({!Pass.phase}) exposes each phase's product in this
     common shape so a checker ({!Mcs_check}) can audit it {e between}
-    phases, and an artifact dumper can serialize it, without knowing which
-    flow produced it. *)
+    phases without knowing which flow produced it. *)
 
 open Mcs_cdfg
 
@@ -30,13 +29,4 @@ type connection =
         list;  (** [((bus, slice, group), (value, cstep, ops))] *)
     }  (** Chapter 6: buses with sub-bus slices *)
 
-type t =
-  | Schedule of Mcs_sched.Schedule.t
-  | Connection of connection
-  | Pins of (int * int) list
-
-val kind : t -> string
-(** ["schedule"], ["connection"] or ["pins"], for dump file naming. *)
-
-val to_json : Cdfg.t -> t -> Mcs_obs.Report_json.t
-(** A compact, human-diffable JSON rendering for [--dump] artifacts. *)
+type t = Schedule of Mcs_sched.Schedule.t | Connection of connection

@@ -64,7 +64,6 @@ let spec_of_design ?pipe_length ?mode ~flow (d : Benchmarks.design) ~rate =
 type policy = {
   budget : Budget.t;
   fallback : bool;
-  refine : int;
   arith : Mcs_ilp.Fsimplex.arith;
 }
 
@@ -72,7 +71,6 @@ let default_policy =
   {
     budget = Budget.unlimited;
     fallback = true;
-    refine = 0;
     arith = Mcs_ilp.Fsimplex.arith_of_env ();
   }
 
@@ -305,7 +303,7 @@ let run_ch4 pass policy (s : spec) =
         (fun () ->
           match
             H.search ~budget s.cdfg s.cons ~rate:s.rate ~mode:s.mode
-              ~slot_cap:cap ~branching:2 ()
+              ~slot_cap:cap ()
           with
           | Ok r -> Ok r
           | Error (H.Exhausted _ as e) ->
@@ -547,10 +545,10 @@ let static_baseline (s : spec) (r : result) =
 let m_runs = Mcs_obs.Metrics.counter "flow.runs"
 let m_final_violations = Mcs_obs.Metrics.counter "flow.check.violations"
 
-let run ?(level = Pass.Off) ?checker ?check_result ?dump
-    ?(policy = default_policy) name spec =
+let run ?(level = Pass.Off) ?checker ?check_result ?(policy = default_policy)
+    name spec =
   Mcs_obs.Metrics.incr m_runs;
-  let pass = Pass.create ~level ?checker ?dump ~flow:(name_to_string name) () in
+  let pass = Pass.create ~level ?checker ~flow:(name_to_string name) () in
   let drive =
     match name with
     | Ch3 -> run_ch3

@@ -5,10 +5,9 @@
     Ch. 6 sub-bus sharing — run through one entry point ({!run}) on one
     input shape ({!spec}) and produce one result shape ({!result}).  Each
     flow is decomposed into phases executed by the {!Pass} manager, so
-    every run gets spans, metrics, typed diagnostics, optional artifact
-    dumping and (when a checker is injected, see {!Mcs_check}) static
-    analysis between phases and on the final result — uniformly, with no
-    per-flow glue in the callers. *)
+    every run gets spans, metrics, typed diagnostics and (when a checker
+    is injected, see {!Mcs_check}) static analysis between phases and on
+    the final result — uniformly, with no per-flow glue in the callers. *)
 
 open Mcs_cdfg
 
@@ -38,21 +37,16 @@ type policy = {
   fallback : bool;
       (** engage the degradation ladder on budget exhaustion (default
           [true]); with [false], exhaustion is a [Diag.Exhausted] error *)
-  refine : int;
-      (** iteration cap for the {!Mcs_refine} anytime-improvement loop
-          (default [0] = off; {!run} itself never refines — the cap is
-          carried here so every layer that owns a policy, from the CLI to
-          the engine to the server, shares one knob) *)
   arith : Mcs_ilp.Fsimplex.arith;
       (** arithmetic of every ILP the flow (and refinement) solves;
           [--arith] on the CLI *)
 }
 
 val default_policy : policy
-(** Unlimited budget, [fallback = true], [refine = 0], [arith] from {!Mcs_ilp.Fsimplex.arith_of_env} (read
-    once, at startup) — with no budget and no injected fault nothing ever
-    exhausts, so the ladder never engages and results are bit-identical
-    to a policy-less run. *)
+(** Unlimited budget, [fallback = true], [arith] from
+    {!Mcs_ilp.Fsimplex.arith_of_env} (read once, at startup) — with no
+    budget and no injected fault nothing ever exhausts, so the ladder
+    never engages and results are bit-identical to a policy-less run. *)
 
 val spec_of_design :
   ?pipe_length:int ->
@@ -133,7 +127,6 @@ val run :
   ?level:Pass.level ->
   ?checker:Artifact.t Pass.checker ->
   ?check_result:(result -> Diag.t list) ->
-  ?dump:(phase:string -> Artifact.t -> unit) ->
   ?policy:policy ->
   name ->
   spec ->
@@ -142,8 +135,7 @@ val run :
     artifact, [check_result] the assembled result; both run only when
     [level] is [Warn] or [Strict] (default [Off]).  Under [Strict] the
     first violation anywhere turns the run into [Error]; under [Warn]
-    violations are collected on [result.diags].  [dump] receives every
-    phase artifact regardless of [level].
+    violations are collected on [result.diags].
 
     [policy] bounds the run and controls the degradation ladder.  When the
     shared budget exhausts (or a {!Mcs_resilience.Fault} injects

@@ -7,7 +7,6 @@ type 'a t = {
   flow : string;
   lvl : level;
   checker : 'a checker option;
-  dump : (phase:string -> 'a -> unit) option;
   mutable n_attempts : int;
   mutable collected : Diag.t list;  (* reverse emission order *)
   mutable failed_check : bool;
@@ -18,12 +17,11 @@ let m_phases = M.counter "flow.phases"
 let m_violations = M.counter "flow.check.violations"
 let m_aborts = M.counter "flow.check.aborts"
 
-let create ?(level = Off) ?checker ?dump ~flow () =
+let create ?(level = Off) ?checker ~flow () =
   {
     flow;
     lvl = level;
     checker;
-    dump;
     n_attempts = 0;
     collected = [];
     failed_check = false;
@@ -75,14 +73,10 @@ let phase t name ?artifact f =
       match artifact with
       | None -> Ok v
       | Some to_artifact -> (
-          let a = lazy (to_artifact v) in
-          (match t.dump with
-          | Some dump -> dump ~phase:phase_id (Lazy.force a)
-          | None -> ());
           match (t.lvl, t.checker) with
           | Off, _ | _, None -> Ok v
           | (Warn | Strict), Some check ->
-              let ds = check ~phase:phase_id (Lazy.force a) in
+              let ds = check ~phase:phase_id (to_artifact v) in
               let errs = List.filter Diag.is_error ds in
               if errs <> [] then M.incr m_violations ~n:(List.length errs);
               List.iter (record t) ds;

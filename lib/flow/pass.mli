@@ -4,7 +4,7 @@
     {!Mcs_resilience.Budget.Out_of_budget} as a [Diag.Exhausted]) into
     {!Diag.t} errors, offers the
     phase's artifact to an injected checker (and, under {!Strict}, aborts
-    the flow on the first violation), and optionally dumps the artifact.
+    the flow on the first violation).
 
     The checker is {e injected} (typically {!Mcs_check}'s artifact
     checker): [Mcs_flow] itself has no opinion about legality, so the
@@ -24,7 +24,6 @@ type 'a t
 val create :
   ?level:level ->
   ?checker:'a checker ->
-  ?dump:(phase:string -> 'a -> unit) ->
   flow:string ->
   unit ->
   'a t
@@ -39,11 +38,10 @@ val phase :
   (unit -> ('b, Diag.t) result) ->
   ('b, Diag.t) result
 (** [phase t name f] runs [f] under a span named [flow.<flow>.<name>].
-    When [f] succeeds and [artifact] is given, the artifact is dumped (if a
-    dumper was injected) and checked (per [level]).  A checker violation
-    under [Strict] turns the phase's [Ok] into [Error] and marks
-    {!check_failed}, so retry loops know to stop rather than try the next
-    design point. *)
+    When [f] succeeds and [artifact] is given, the artifact is checked (per
+    [level]).  A checker violation under [Strict] turns the phase's [Ok]
+    into [Error] and marks {!check_failed}, so retry loops know to stop
+    rather than try the next design point. *)
 
 val attempt : _ t -> unit
 (** Count one attempt (one retry-loop iteration). *)

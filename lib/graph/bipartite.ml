@@ -24,25 +24,7 @@ let add_edge t ~left ~right =
   check_r t right;
   t.adj.(left) <- right :: t.adj.(left)
 
-let remove_edge t ~left ~right =
-  check_l t left;
-  check_r t right;
-  let rec drop = function
-    | [] -> []
-    | r :: rest -> if r = right then rest else r :: drop rest
-  in
-  let before = List.length t.adj.(left) in
-  t.adj.(left) <- drop t.adj.(left);
-  let removed = List.length t.adj.(left) < before in
-  (* Only unmatch when the last parallel copy disappears. *)
-  if removed && t.ml.(left) = right && not (List.mem right t.adj.(left))
-  then begin
-    t.ml.(left) <- -1;
-    t.mr.(right) <- -1
-  end
-
 let unmatch_left t l =
-  check_l t l;
   let r = t.ml.(l) in
   if r >= 0 then begin
     t.ml.(l) <- -1;
@@ -89,10 +71,6 @@ let augment_from t l =
   M.incr (if ok then m_success else m_fail);
   ok
 
-let try_augment t ~left =
-  check_l t left;
-  if t.ml.(left) >= 0 then true else augment_from t left
-
 let max_matching ?(budget = Mcs_resilience.Budget.unlimited) t =
   for l = 0 to t.n_left - 1 do
     if t.ml.(l) = -1 then begin
@@ -105,10 +83,6 @@ let max_matching ?(budget = Mcs_resilience.Budget.unlimited) t =
 let match_of_left t l =
   check_l t l;
   if t.ml.(l) >= 0 then Some t.ml.(l) else None
-
-let match_of_right t r =
-  check_r t r;
-  if t.mr.(r) >= 0 then Some t.mr.(r) else None
 
 let pairs t =
   let acc = ref [] in

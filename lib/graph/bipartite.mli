@@ -11,10 +11,6 @@ type t
 val create : n_left:int -> n_right:int -> t
 val add_edge : t -> left:int -> right:int -> unit
 
-val remove_edge : t -> left:int -> right:int -> unit
-(** Removes one copy of the edge if present (no-op otherwise).  If the edge
-    was matched, the matching is updated to drop it. *)
-
 val force_pair : t -> left:int -> right:int -> unit
 (** Pins [left -- right] into the current matching, displacing any previous
     partners (their match is cleared, not rerouted).
@@ -26,15 +22,7 @@ val max_matching : ?budget:Mcs_resilience.Budget.t -> t -> int
     [budget] charges one augment per attempted augmenting path; exhaustion
     raises {!Mcs_resilience.Budget.Out_of_budget}. *)
 
-val try_augment : t -> left:int -> bool
-(** Attempts to add the single unmatched left vertex to the matching by an
-    augmenting path, preserving all existing pairs (possibly re-routing
-    them).  Returns [false] (matching unchanged) if no augmenting path
-    exists. *)
-
 val match_of_left : t -> int -> int option
-val match_of_right : t -> int -> int option
-val unmatch_left : t -> int -> unit
 
 val pairs : t -> (int * int) list
 (** Current matched pairs, sorted by left vertex. *)

@@ -10,7 +10,10 @@ type result =
   | Unbounded
   | Gave_up
 
-let solve ?budget ?(max_cuts = 500) p =
+(* Cuts tried before a solve reports [Gave_up]. *)
+let max_cuts = 500
+
+let solve ?budget p =
   M.incr m_solves;
   match Simplex.Tab.of_problem ?budget p with
   | `Infeasible -> Infeasible
@@ -36,13 +39,3 @@ let solve ?budget ?(max_cuts = 500) p =
             | `Ok -> refine (cuts + 1))
       in
       refine 0
-
-let feasible ?budget ?max_cuts p =
-  (* Feasibility does not depend on the objective, but a zero objective
-     converges fastest. *)
-  let p = { p with Simplex.objective = Array.map (fun _ -> Mcs_util.Ratio.zero) p.Simplex.objective } in
-  match solve ?budget ?max_cuts p with
-  | Optimal _ -> Some true
-  | Infeasible -> Some false
-  | Unbounded -> Some true (* nonempty integer region *)
-  | Gave_up -> None

@@ -16,16 +16,7 @@ type result =
       (** cut budget exhausted before convergence, or the pivot/wall
           budget ran out mid-solve *)
 
-val solve :
-  ?budget:Mcs_resilience.Budget.t -> ?max_cuts:int -> Simplex.problem -> result
+val solve : ?budget:Mcs_resilience.Budget.t -> Simplex.problem -> result
 (** [solve p] maximizes [p]'s objective over the integer points of its
-    feasible region ([max_cuts] defaults to 500).  Exhaustion of [budget]
+    feasible region, trying at most 500 cuts.  Exhaustion of [budget]
     reports [Gave_up]. *)
-
-val feasible :
-  ?budget:Mcs_resilience.Budget.t ->
-  ?max_cuts:int ->
-  Simplex.problem ->
-  bool option
-(** Pure feasibility query: [Some true] / [Some false] when decided, [None]
-    when the cut budget ran out. *)

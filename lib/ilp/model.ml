@@ -2,12 +2,8 @@ module R = Mcs_util.Ratio
 
 type var = int
 
-type vinfo = {
-  name : string;
-  lo : int; (* finite lower bound; formulations here never need -inf *)
-  hi : int option;
-  integer : bool;
-}
+(* Every variable is bounded below by 0. *)
+type vinfo = { name : string; hi : int option; integer : bool }
 
 type lin = { terms : (int * var) list; cst : int }
 
@@ -31,10 +27,8 @@ let add_var_info t info =
   t.nv <- t.nv + 1;
   t.nv - 1
 
-let binary t name = add_var_info t { name; lo = 0; hi = Some 1; integer = true }
-
-let int_var t ?(lo = 0) ?hi name =
-  add_var_info t { name; lo; hi; integer = true }
+let binary t name = add_var_info t { name; hi = Some 1; integer = true }
+let int_var t ?hi name = add_var_info t { name; hi; integer = true }
 
 let info t x = List.nth t.vars (t.nv - 1 - x)
 let var_name t x = (info t x).name
@@ -91,22 +85,16 @@ let iff_positive t ?name ~big_m b e =
 let to_problem t =
   let infos = Array.of_list (List.rev t.vars) in
   let n = t.nv in
-  (* Shift each variable by its lower bound so the simplex variable is
-     x' = x - lo >= 0. *)
-  let lo = Array.map (fun i -> i.lo) infos in
   let integer = Array.map (fun i -> i.integer) infos in
   let dense lin =
     let coefs = Array.make n R.zero in
-    let shift = ref lin.cst in
     List.iter
-      (fun (c, x) ->
-        coefs.(x) <- R.add coefs.(x) (R.of_int c);
-        shift := !shift + (c * lo.(x)))
+      (fun (c, x) -> coefs.(x) <- R.add coefs.(x) (R.of_int c))
       lin.terms;
-    (coefs, !shift)
+    coefs
   in
   let rows = ref [] in
-  (* Upper bounds as rows: x' <= hi - lo. *)
+  (* Upper bounds as rows: x <= hi. *)
   Array.iteri
     (fun x i ->
       match i.hi with
@@ -114,18 +102,17 @@ let to_problem t =
       | Some hi ->
           let coefs = Array.make n R.zero in
           coefs.(x) <- R.one;
-          rows := (coefs, Simplex.Le, R.of_int (hi - i.lo)) :: !rows)
+          rows := (coefs, Simplex.Le, R.of_int hi) :: !rows)
     infos;
   List.iter
     (fun r ->
-      let coefs, shift = dense r.lhs in
       let rel =
         match r.rel with Rle -> Simplex.Le | Rge -> Simplex.Ge | Req -> Simplex.Eq
       in
-      (* lhs - rhs (rel) 0  became  coefs . x' + shift (rel) 0. *)
-      rows := (coefs, rel, R.of_int (-shift)) :: !rows)
+      (* lhs - rhs (rel) 0  becomes  coefs . x (rel) -cst. *)
+      rows := (dense r.lhs, rel, R.of_int (-r.lhs.cst)) :: !rows)
     (List.rev t.rows);
-  let objective, _ = dense t.obj in
+  let objective = dense t.obj in
   ({ Simplex.n_vars = n; objective; rows = List.rev !rows }, integer)
 
 type solution = { objective : R.t; values : var -> R.t }
@@ -139,17 +126,12 @@ type outcome =
   | Exhausted of Mcs_resilience.Budget.exhausted
 
 let wrap_solution t (s : Simplex.solution) =
-  let infos = Array.of_list (List.rev t.vars) in
-  let obj_shift =
-    List.fold_left (fun acc (c, x) -> acc + (c * infos.(x).lo)) t.obj.cst
-      t.obj.terms
-  in
   {
-    objective = R.add s.value (R.of_int obj_shift);
+    objective = R.add s.value (R.of_int t.obj.cst);
     values =
       (fun x ->
         if x < 0 || x >= Array.length s.x then invalid_arg "Model: bad var";
-        R.add s.x.(x) (R.of_int infos.(x).lo));
+        s.x.(x));
   }
 
 let solve ?budget ~arith ?basis t =
@@ -209,8 +191,8 @@ let pp_lp ppf t =
   List.iteri
     (fun _ i ->
       match i.hi with
-      | Some hi -> Format.fprintf ppf "  %d <= %s <= %d@." i.lo i.name hi
-      | None -> Format.fprintf ppf "  %s >= %d@." i.name i.lo)
+      | Some hi -> Format.fprintf ppf "  0 <= %s <= %d@." i.name hi
+      | None -> Format.fprintf ppf "  %s >= 0@." i.name)
     (List.rev t.vars);
   Format.fprintf ppf "Generals@.";
   List.iter

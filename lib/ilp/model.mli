@@ -15,8 +15,9 @@ val create : unit -> t
 val binary : t -> string -> var
 (** 0/1 integer variable (upper bound emitted as a constraint row). *)
 
-val int_var : t -> ?lo:int -> ?hi:int -> string -> var
-(** Integer variable, default bounds [0 .. +inf]. *)
+val int_var : t -> ?hi:int -> string -> var
+(** Integer variable with bounds [0 .. hi] ([hi] defaults to +inf).  Every
+    variable of a model is bounded below by 0. *)
 
 val var_name : t -> var -> string
 val n_vars : t -> int

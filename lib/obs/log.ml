@@ -51,10 +51,6 @@ let set_field k v =
   let context = context () in
   context := (k, v) :: List.remove_assoc k !context
 
-let unset_field k =
-  let context = context () in
-  context := List.remove_assoc k !context
-
 let fields () = List.rev !(context ())
 
 let with_field k v f =

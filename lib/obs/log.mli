@@ -28,8 +28,6 @@ val set_field : string -> string -> unit
     [flow=<name>]; the engine pool binds [job=<hash>] around each job, so
     lines from jobs running side by side stay attributable. *)
 
-val unset_field : string -> unit
-
 val with_field : string -> string -> (unit -> 'a) -> 'a
 (** Scoped {!set_field}: the previous context is restored on exit, even
     on exceptions. *)

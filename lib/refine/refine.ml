@@ -53,7 +53,7 @@ type move_failure = { why : string; transient : bool }
    solve now, or the run fails typed and the move reports why. *)
 let reclimb ~slice ~policy spec (r : F.result) =
   let policy' =
-    { policy with F.budget = slice; F.fallback = false; F.refine = 0 }
+    { policy with F.budget = slice; F.fallback = false }
   in
   match
     Mcs_check.run ~level:Mcs_flow.Pass.Strict ~policy:policy' r.F.flow spec
@@ -241,9 +241,8 @@ let emit_iteration it =
           ("pivots", Mcs_obs.Events.Int it.pivots);
         ]
 
-let improve ?max_iters ?(policy = F.default_policy) (spec : F.spec)
+let improve ~max_iters ?(policy = F.default_policy) (spec : F.spec)
     (r0 : F.result) =
-  let cap = match max_iters with Some n -> n | None -> policy.F.refine in
   let no_op =
     {
       result = r0;
@@ -253,7 +252,7 @@ let improve ?max_iters ?(policy = F.default_policy) (spec : F.spec)
       exhausted = false;
     }
   in
-  if cap <= 0 then no_op
+  if max_iters <= 0 then no_op
   else
     Mcs_obs.Trace.with_span "refine" @@ fun () ->
     let cdfg = spec.F.cdfg and mlib = spec.F.mlib and cons = spec.F.cons in
@@ -266,7 +265,7 @@ let improve ?max_iters ?(policy = F.default_policy) (spec : F.spec)
     let exhausted = ref false in
     let fixed_point = ref false in
     let i = ref 0 in
-    while (not !exhausted) && (not !fixed_point) && !i < cap do
+    while (not !exhausted) && (not !fixed_point) && !i < max_iters do
       incr i;
       (* Refine only while the deadline still has slack: a request about
          to expire gets its (degraded) answer instead of a late one. *)
@@ -290,7 +289,7 @@ let improve ?max_iters ?(policy = F.default_policy) (spec : F.spec)
         | None -> fixed_point := true
         | Some (b, act) ->
             let t0 = Unix.gettimeofday () in
-            let slice = Budget.slice ~frac:0.5 parent in
+            let slice = Budget.slice parent in
             let before = objective !r in
             let action, attempt =
               match act with

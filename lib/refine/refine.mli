@@ -64,15 +64,14 @@ val objective : Mcs_flow.Flow.result -> int
     quality measure). *)
 
 val improve :
-  ?max_iters:int ->
+  max_iters:int ->
   ?policy:Mcs_flow.Flow.policy ->
   Mcs_flow.Flow.spec ->
   Mcs_flow.Flow.result ->
   outcome
-(** Refine [r0] for up to [max_iters] iterations (default
-    [policy.refine]; [0] returns [r0] untouched with no iterations —
-    bit-identical passthrough).  [policy.budget] is the parent pool:
-    every iteration runs on a half-remaining slice whose spending is
-    absorbed back, and the loop stops early when the pool's deadline has
-    under ~2 ms of slack.  Never raises; never returns a result worse
-    than [r0]. *)
+(** Refine [r0] for up to [max_iters] iterations ([0] returns [r0]
+    untouched with no iterations — bit-identical passthrough).
+    [policy.budget] is the parent pool: every iteration runs on a
+    half-remaining slice whose spending is absorbed back, and the loop
+    stops early when the pool's deadline has under ~2 ms of slack.  Never
+    raises; never returns a result worse than [r0]. *)

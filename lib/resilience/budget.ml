@@ -75,20 +75,21 @@ let remaining_ms t =
   | None -> None
   | Some dl -> Some (max 0. ((dl -. Unix.gettimeofday ()) *. 1000.))
 
-(* A slice is a fresh budget holding [frac] of what the parent has left on
+(* A slice is a fresh budget holding half of what the parent has left on
    every axis: refinement charges one iteration to a slice so a runaway
    subproblem can never drain the whole pool.  The parent learns what the
    slice actually spent through [absorb]. *)
-let slice ?(frac = 0.5) t =
+let slice t =
   let part limit spent =
     Option.map
-      (fun l -> max 1 (int_of_float (ceil (float_of_int (max 0 (l - spent)) *. frac))))
+      (fun l ->
+        max 1 (int_of_float (ceil (float_of_int (max 0 (l - spent)) *. 0.5))))
       limit
   in
   let deadline_ms =
     match remaining_ms t with
     | None -> None
-    | Some ms -> Some (max 1. (ms *. frac))
+    | Some ms -> Some (max 1. (ms *. 0.5))
   in
   make ?deadline_ms
     ?nodes:(part t.nodes t.n_nodes)

@@ -58,11 +58,11 @@ val remaining_ms : t -> float option
     set.  The refinement driver uses this to decide whether a request's
     deadline still has slack worth spending. *)
 
-val slice : ?frac:float -> t -> t
-(** A fresh budget holding [frac] (default 0.5) of what [t] has left on
-    every limited axis (at least 1 each; unlimited axes stay unlimited).
-    The slice's spending is {e not} reflected in [t] — call {!absorb}
-    afterwards so the parent's books stay honest. *)
+val slice : t -> t
+(** A fresh budget holding half of what [t] has left on every limited
+    axis (at least 1 each; unlimited axes stay unlimited).  The slice's
+    spending is {e not} reflected in [t] — call {!absorb} afterwards so
+    the parent's books stay honest. *)
 
 val absorb : t -> t -> unit
 (** [absorb parent child] adds the child's spent counters to the parent's

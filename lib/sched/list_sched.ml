@@ -73,7 +73,7 @@ let deadlines sched (facts : Op_facts.t) ~constraints =
     facts.rev_topo;
   dl
 
-let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
+let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate
     ?(io_hook = unconstrained_io) ?priority_bias ?min_cstep ?(fixed = []) () =
   M.incr m_runs;
   let sched = Schedule.create cdfg mlib ~rate in
@@ -93,11 +93,11 @@ let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate ?max_csteps
         (op :: Option.value (Hashtbl.find_opt fixed_at c) ~default:[]))
     fixed;
   let max_csteps =
-    match max_csteps with
-    | Some m -> m
-    | None -> (4 * Timing.critical_path_csteps cdfg mlib) + (4 * rate) + 16
+    List.fold_left
+      (fun m (_, c) -> max m c)
+      ((4 * Timing.critical_path_csteps cdfg mlib) + (4 * rate) + 16)
+      fixed
   in
-  let max_csteps = List.fold_left (fun m (_, c) -> max m c) max_csteps fixed in
   (* One allocation wheel set per (partition, optype). *)
   let wheels = Hashtbl.create 16 in
   let wheel partition optype =

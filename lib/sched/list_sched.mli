@@ -63,7 +63,6 @@ val run :
   Module_lib.t ->
   Constraints.t ->
   rate:int ->
-  ?max_csteps:int ->
   ?io_hook:io_hook ->
   ?priority_bias:int array ->
   ?min_cstep:int array ->

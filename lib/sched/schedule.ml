@@ -58,11 +58,6 @@ let pipe_length t =
     t.csteps;
   !worst + 1
 
-let ops_at_group t g =
-  List.filter
-    (fun op -> is_scheduled t op && group t op = g)
-    (Cdfg.ops t.cdfg)
-
 let value_available t op ~reader_cstep =
   is_scheduled t op && t.csteps.(op) + cycles t op <= reader_cstep
 

@@ -41,9 +41,6 @@ val all_scheduled : t -> bool
 val pipe_length : t -> int
 (** [1 + max (cstep + cycles - 1)] over scheduled operations (0 if none). *)
 
-val ops_at_group : t -> int -> Types.op_id list
-(** Scheduled operations whose {e starting} step falls in the group. *)
-
 val value_available : t -> Types.op_id -> reader_cstep:int -> bool
 (** True when the result of scheduled operation [op] is latched in a
     register before control step [reader_cstep] begins. *)

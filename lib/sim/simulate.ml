@@ -1,13 +1,13 @@
 open Mcs_cdfg
 module Sched = Mcs_sched.Schedule
 
-type semantics = string -> int list -> int
-
 let mask = (1 lsl 30) - 1
 
 let hash_combine acc x = ((acc * 1000003) + x) land mask
 
-let default_semantics ty args =
+(* Operator meaning: "add", "sub" and "mul" as arithmetic, any other type
+   as a deterministic hash of its operands, all masked to 30 bits. *)
+let semantics ty args =
   match ty with
   | "add" -> List.fold_left ( + ) 0 args land mask
   | "sub" -> List.fold_left (fun a b -> (a - b) land mask) 0 args
@@ -36,7 +36,7 @@ let incoming cdfg =
   inc
 
 (* Denotational value of every (op, instance). *)
-let evaluate ?(semantics = default_semantics) cdfg ~inputs ~instances =
+let evaluate cdfg ~inputs ~instances =
   let inc = incoming cdfg in
   let values = Hashtbl.create 1024 in
   let value op n =
@@ -80,11 +80,10 @@ let outputs_of cdfg values ~instances =
   in
   { outputs = List.sort compare rows }
 
-let reference ?semantics cdfg ~inputs ~instances =
-  outputs_of cdfg (evaluate ?semantics cdfg ~inputs ~instances) ~instances
+let reference cdfg ~inputs ~instances =
+  outputs_of cdfg (evaluate cdfg ~inputs ~instances) ~instances
 
-let machine ?(semantics = default_semantics) sched ~bus_of ~bus_capable
-    ~inputs ~instances =
+let machine sched ~bus_of ~bus_capable ~inputs ~instances =
   let cdfg = Sched.cdfg sched in
   let mlib = Sched.mlib sched in
   let rate = Sched.rate sched in
@@ -175,12 +174,12 @@ let machine ?(semantics = default_semantics) sched ~bus_of ~bus_capable
 
 let m_equiv_checks = Mcs_obs.Metrics.counter "sim.equiv_checks"
 
-let check_equivalent ?semantics sched ~bus_of ~bus_capable ~seed ~instances =
+let check_equivalent sched ~bus_of ~bus_capable ~seed ~instances =
   Mcs_obs.Metrics.incr m_equiv_checks;
   let cdfg = Sched.cdfg sched in
   let inputs = random_inputs ~seed in
-  let want = reference ?semantics cdfg ~inputs ~instances in
-  match machine ?semantics sched ~bus_of ~bus_capable ~inputs ~instances with
+  let want = reference cdfg ~inputs ~instances in
+  match machine sched ~bus_of ~bus_capable ~inputs ~instances with
   | Error m -> Error m
   | Ok got ->
       if got.outputs = want.outputs then Ok ()

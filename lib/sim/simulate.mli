@@ -13,20 +13,16 @@
       value per bus per cycle (same-value broadcasts excepted), ports wide
       enough for what they carry, and every operand latched before use.
 
+    Both interpret operators the same way: "add", "sub" and "mul" as
+    arithmetic, any other type as a deterministic hash of its operands, all
+    masked to 30 bits.
+
     Equal traces mean the schedule, the bus allocation and the connection
     together implement the behaviour; any pipelining bug (overlapped
     instances clobbering each other, a transfer on a busy bus, a value read
     before it exists) surfaces as a mismatch or an invariant report. *)
 
 open Mcs_cdfg
-
-type semantics = string -> int list -> int
-(** Operator meaning: [sem optype operand_values].  The default interprets
-    "add" as addition, "mul" as multiplication, "sub" as subtraction, and
-    any other type as a (deterministic) hash of its operands — all masked
-    to 30 bits. *)
-
-val default_semantics : semantics
 
 type inputs = string -> int -> int
 (** [inputs value instance] — the primary input stream. *)
@@ -39,11 +35,9 @@ type trace = {
       (** (output value name, instance) -> value, sorted *)
 }
 
-val reference :
-  ?semantics:semantics -> Cdfg.t -> inputs:inputs -> instances:int -> trace
+val reference : Cdfg.t -> inputs:inputs -> instances:int -> trace
 
 val machine :
-  ?semantics:semantics ->
   Mcs_sched.Schedule.t ->
   bus_of:(Types.op_id -> int list) ->
   bus_capable:(int -> Types.op_id -> bool) ->
@@ -58,7 +52,6 @@ val machine :
     [Error] describing the first violated hardware invariant. *)
 
 val check_equivalent :
-  ?semantics:semantics ->
   Mcs_sched.Schedule.t ->
   bus_of:(Types.op_id -> int list) ->
   bus_capable:(int -> Types.op_id -> bool) ->

@@ -4,11 +4,10 @@
    ([Branch_bound.solve_cold]).  Each record holds the result (status,
    exact objective and witness point), the float search's root basis,
    the deltas of every [bb.*], [simplex.*], [fsimplex.*] and
-   [ilp.certify.*] counter (plus two retired columns, always 0), and a
-   digest of the solver event journal (node opens and closes,
-   incumbents, simplex solves, certification verdicts) in emission
-   order.  All three searches are deterministic, so
-   a change that claims to run the same search must reproduce every
+   [ilp.certify.*] counter, and a digest of the solver event journal
+   (node opens and closes, incumbents, simplex solves, certification
+   verdicts) in emission order.  All three searches are deterministic,
+   so a change that claims to run the same search must reproduce every
    record exactly.
 
    The cases are 600 seeded random (M)ILPs with 2-6 variables, [Le]/[Ge]/
@@ -62,11 +61,6 @@ let counters =
       "fsimplex.stuck";
       "ilp.certify.ok";
       "ilp.certify.fail";
-      (* Retired: the counters of a process-wide basis registry that no
-         longer exists.  They read 0; kept so every record's column
-         layout stays as committed. *)
-      "ilp.warm.hits";
-      "ilp.warm.misses";
     ]
 
 (* 48 bits of MD5: ample to tell two renderings apart. *)

@@ -349,7 +349,7 @@ let test_cond_share_groups () =
   let d = Benchmarks.cond_demo () in
   let groups =
     Extensions.Cond_share.run d.Benchmarks.cdfg d.Benchmarks.mlib ~rate:2
-      ~pipe_length:8 ()
+      ~pipe_length:8
   in
   let cdfg = d.Benchmarks.cdfg in
   (* Groups only merge mutually exclusive operations. *)

@@ -120,22 +120,22 @@ let test_bipartite_augment () =
   B.add_edge b ~left:0 ~right:0;
   B.add_edge b ~left:0 ~right:1;
   B.add_edge b ~left:1 ~right:0;
+  (* Seed the matching the way [Reassign.repack] does: 0 forced onto
+     right 0.  1 can only use right 0, so the augmenting path must reroute
+     0 to right 1. *)
   B.force_pair b ~left:0 ~right:0;
-  (* 1 can only use right 0; augmenting must reroute 0 to right 1. *)
-  checkb "augment reroutes" true (B.try_augment b ~left:1);
+  checki "augment reroutes" 2 (B.max_matching b);
   Alcotest.(check (option int)) "0 moved" (Some 1) (B.match_of_left b 0);
   Alcotest.(check (option int)) "1 placed" (Some 0) (B.match_of_left b 1)
 
-let test_bipartite_force_and_remove () =
+let test_bipartite_force_pair () =
   let b = B.create ~n_left:2 ~n_right:1 in
   B.add_edge b ~left:0 ~right:0;
   B.add_edge b ~left:1 ~right:0;
   B.force_pair b ~left:0 ~right:0;
   B.force_pair b ~left:1 ~right:0;
   Alcotest.(check (option int)) "displaced" None (B.match_of_left b 0);
-  B.remove_edge b ~left:1 ~right:0;
-  Alcotest.(check (option int)) "removed unmatches" None (B.match_of_left b 1);
-  checki "rematch" 1 (B.max_matching b)
+  Alcotest.(check (option int)) "forced" (Some 0) (B.match_of_left b 1)
 
 let test_bipartite_pairs () =
   let b = B.create ~n_left:2 ~n_right:2 in
@@ -255,7 +255,7 @@ let suite =
       Alcotest.test_case "reachability" `Quick test_reachable;
       Alcotest.test_case "bipartite perfect matching" `Quick test_bipartite_simple;
       Alcotest.test_case "bipartite augmenting path" `Quick test_bipartite_augment;
-      Alcotest.test_case "bipartite force/remove" `Quick test_bipartite_force_and_remove;
+      Alcotest.test_case "bipartite force pair" `Quick test_bipartite_force_pair;
       Alcotest.test_case "bipartite pairs" `Quick test_bipartite_pairs;
       Alcotest.test_case "hungarian identity" `Quick test_hungarian_identity;
       Alcotest.test_case "hungarian small" `Quick test_hungarian_small;

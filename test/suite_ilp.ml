@@ -633,16 +633,6 @@ let test_model_knapsack () =
       checki "c" 1 (Model.int_value s c)
   | _ -> Alcotest.fail "model solve failed"
 
-let test_model_negative_lower_bound () =
-  let m = Model.create () in
-  let x = Model.int_var m ~lo:(-5) ~hi:5 "x" in
-  Model.set_objective m (Model.scale (-1) (Model.v x));
-  match Model.solve ~arith m with
-  | Model.Optimal s ->
-      checki "x at lower bound" (-5) (Model.int_value s x);
-      checkb "objective 5" true (R.equal s.Model.objective (R.of_int 5))
-  | _ -> Alcotest.fail "failed"
-
 let test_model_max_bin () =
   let m = Model.create () in
   let x = Model.binary m "x" and y = Model.binary m "y" in
@@ -673,7 +663,7 @@ let test_model_xor () =
 let test_model_implication () =
   let m = Model.create () in
   let b = Model.binary m "b" in
-  let x = Model.int_var m ~lo:0 ~hi:10 "x" in
+  let x = Model.int_var m ~hi:10 "x" in
   Model.implies_le m ~big_m:100 b (Model.v x) (Model.const 3);
   Model.add_eq m (Model.v b) (Model.const 1);
   Model.set_objective m (Model.v x);
@@ -684,7 +674,7 @@ let test_model_implication () =
 let test_model_iff_positive () =
   let m = Model.create () in
   let b = Model.binary m "b" in
-  let x = Model.int_var m ~lo:0 ~hi:10 "x" in
+  let x = Model.int_var m ~hi:10 "x" in
   Model.iff_positive m ~big_m:10 b (Model.v x);
   Model.add_eq m (Model.v b) (Model.const 0);
   Model.set_objective m (Model.v x);
@@ -693,7 +683,7 @@ let test_model_iff_positive () =
   | _ -> Alcotest.fail "failed");
   let m2 = Model.create () in
   let b2 = Model.binary m2 "b" in
-  let x2 = Model.int_var m2 ~lo:0 ~hi:10 "x" in
+  let x2 = Model.int_var m2 ~hi:10 "x" in
   Model.iff_positive m2 ~big_m:10 b2 (Model.v x2);
   Model.add_eq m2 (Model.v b2) (Model.const 1);
   Model.set_objective m2 (Model.scale (-1) (Model.v x2));
@@ -755,7 +745,6 @@ let suite =
         test_float_root_unbounded_falls_back;
       Alcotest.test_case "golden B&B records" `Quick test_golden_ilp;
       Alcotest.test_case "model knapsack" `Quick test_model_knapsack;
-      Alcotest.test_case "model negative lower bounds" `Quick test_model_negative_lower_bound;
       Alcotest.test_case "model max of binaries" `Quick test_model_max_bin;
       Alcotest.test_case "model xor linearization" `Quick test_model_xor;
       Alcotest.test_case "model implication" `Quick test_model_implication;

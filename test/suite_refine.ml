@@ -242,7 +242,7 @@ let test_budget_slice_absorb () =
   for _ = 1 to 10 do
     Budget.spend_pivot parent
   done;
-  let slice = Budget.slice ~frac:0.5 parent in
+  let slice = Budget.slice parent in
   checkb "slice is limited" true (Budget.is_limited slice);
   (* 45 = ceil((100 - 10) / 2): the slice funds half the remaining. *)
   checkb "slice exhausts at half the remaining" true

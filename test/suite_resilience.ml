@@ -245,7 +245,6 @@ let test_default_policy_unaffected_by_ladder () =
     {
       F.budget = B.unlimited;
       fallback = true;
-      refine = 0;
       arith = F.default_policy.F.arith;
     }
   in

@@ -371,7 +371,7 @@ let slot_hook cdfg ~rate ~k () =
 let reassign_hook cdfg cons ~rate =
   match
     Mcs_connect.Heuristic.search cdfg cons ~rate ~mode:Mcs_connect.Connection.Unidir
-      ~branching:2 ~max_nodes:2000 ()
+      ~max_nodes:2000 ()
   with
   | Ok r ->
       Some
